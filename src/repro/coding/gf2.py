@@ -297,6 +297,71 @@ def gf2_solve_packed(
     return solution
 
 
+def gf2_absorb_batch(
+    pivots: np.ndarray, basis_ids: np.ndarray, rows: np.ndarray
+) -> np.ndarray:
+    """Absorb coefficient rows into many GF(2) bases in one elimination.
+
+    ``pivots`` is a ``(B, width)`` uint64 array of ``B`` independent,
+    payload-free bases in reduced row-echelon form: ``pivots[i, b]`` is
+    basis ``i``'s row whose lowest set bit is ``b``, or 0 when ``b`` is
+    not a pivot column — the layout of :class:`PackedGF2Basis`'s
+    coefficient rows.  ``rows[t]`` (bits below ``width`` only) joins
+    basis ``basis_ids[t]``; a basis may receive any number of rows.
+    ``pivots`` is updated in place and the ``(B,)`` int64 rank gains are
+    returned.  The final RREF is unique and the rank gain is the
+    innovative-row count, so neither depends on the order of the rows.
+
+    Each touched basis's stored pivots and new rows are laid out as one
+    zero-padded lane; then, for each bit ``b``, every lane's first
+    not-yet-pivot row holding ``b`` becomes the pivot and is XORed into
+    the lane's other rows holding ``b`` (Gauss–Jordan).  That is
+    ``width`` vectorized passes however many bases and rows there are.
+    """
+    n_bases, width = pivots.shape
+    gain = np.zeros(n_bases, dtype=np.int64)
+    rows = np.asarray(rows, dtype=np.uint64)
+    if rows.size == 0:
+        return gain
+    basis_ids = np.asarray(basis_ids, dtype=np.int64)
+    order = np.argsort(basis_ids)
+    ids = basis_ids[order]
+    starts = np.flatnonzero(np.diff(ids, prepend=-1))
+    counts = np.diff(starts, append=ids.size)
+    touched = ids[starts]
+    lanes = np.arange(touched.size)
+    m = np.zeros((touched.size, width + int(counts.max())), dtype=np.uint64)
+    m[:, :width] = pivots[touched]
+    m[np.repeat(lanes, counts),
+      width + np.arange(ids.size) - np.repeat(starts, counts)] = rows[order]
+
+    free = np.ones(m.shape, dtype=bool)  # not yet chosen as a pivot
+    pivot_at = np.full((touched.size, width), -1, dtype=np.int64)
+    one = np.uint64(1)
+    for b in range(width):
+        bit = ((m >> np.uint64(b)) & one).astype(bool)
+        cand = bit & free
+        first = cand.argmax(axis=1)
+        found = cand[lanes, first]
+        if not found.any():
+            continue
+        at = lanes[found]
+        col = first[found]
+        free[at, col] = False
+        pivot_at[at, b] = col
+        clear = bit[at]
+        clear[np.arange(at.size), col] = False
+        m[at] ^= np.where(clear, m[at, col][:, None], np.uint64(0))
+
+    held = pivot_at >= 0
+    before = np.count_nonzero(pivots[touched], axis=1)
+    pivots[touched] = np.where(
+        held, m[lanes[:, None], np.maximum(pivot_at, 0)], np.uint64(0)
+    )
+    gain[touched] = np.count_nonzero(held, axis=1) - before
+    return gain
+
+
 class PackedGF2Basis:
     """Incremental word-wise XOR Gauss–Jordan elimination over GF(2).
 

@@ -41,7 +41,7 @@ from repro.coding.integrity import (
     plain_hop_tag,
     plain_root_tag,
 )
-from repro.coding.gf2 import PackedGF2Basis
+from repro.coding.gf2 import gf2_absorb_batch
 from repro.coding.packets import CodedMessage, Packet
 from repro.core.config import AlgorithmParameters
 from repro.primitives.decay import decay_slots, decay_transmit_matrix
@@ -466,47 +466,104 @@ def run_dissemination_stage(
                     poisoned_rows=round_poisoned,
                 )
 
+    # Direct-mode decoding state is one (n, width) block per group in
+    # flight: group j owns block j % in_flight and zeroes it after its
+    # last phase, before group j + in_flight starts.  Concurrent groups
+    # are at most ``(ecc - 1) // spacing`` apart, so they never share a
+    # block.
+    in_flight = min(g, (ecc - 1) // spacing + 1)
+    group_size = np.array([len(grp) for grp in groups], dtype=np.int64)
+    full_mask = np.array(
+        [(1 << len(grp)) - 1 for grp in groups], dtype=np.uint64
+    )
+
+    def absorb_phase(
+        phase: int,
+        root_group: int,
+        sent: List[Tuple[int, int, np.ndarray, np.ndarray]],
+        pivots: np.ndarray,
+        plain_bits: np.ndarray,
+    ) -> None:
+        """Resolve and absorb one direct-mode phase, then promote.
+
+        One labelled :meth:`RadioNetwork.resolve_round_vector` call
+        resolves every round of the phase; receptions are attributed to
+        groups through the transmitting entry.  Plain packets set bits
+        in ``plain_bits``; coded rows go through one
+        :func:`gf2_absorb_batch` elimination into the payload-free RREF
+        ``pivots`` (honest rows are always span-consistent, so rank
+        alone decides completion, and the rank gain is the innovative
+        count in any absorption order).  All integrity and
+        authentication counters are provably zero here.
+        """
+        nonlocal innovative_rx
+        sizes = [hot.size for _, _, hot, _ in sent]
+        receivers, entries, _ = network.resolve_round_vector(
+            np.concatenate([hot for _, _, hot, _ in sent]),
+            np.repeat([s for s, _, _, _ in sent], sizes),
+        )
+        rx_group = np.repeat([j for _, j, _, _ in sent], sizes)[entries]
+        keep = ~has_group[receivers, rx_group]
+        if not params.opportunistic_decoding:
+            keep &= dist[receivers] == phase - spacing * rx_group
+        receivers = receivers[keep]
+        rx_group = rx_group[keep]
+        vals = np.concatenate([v for _, _, _, v in sent])[entries[keep]]
+        vals = vals.astype(np.uint64)
+        block = (rx_group % in_flight) * n + receivers
+        if params.coding_enabled:
+            coded = rx_group != root_group
+            innovative_rx += int(
+                gf2_absorb_batch(pivots, block[coded], vals[coded]).sum()
+            )
+        else:
+            coded = np.zeros(receivers.size, dtype=bool)
+        plain = ~coded
+        np.bitwise_or.at(
+            plain_bits, block[plain], np.uint64(1) << vals[plain]
+        )
+        done = np.where(
+            coded,
+            np.count_nonzero(pivots[block], axis=1) == group_size[rx_group],
+            plain_bits[block] == full_mask[rx_group],
+        )
+        has_group[receivers[done], rx_group[done]] = True
+
     def run_phases_columnar() -> int:
         """Columnar phase loop: whole-layer Decay schedules per epoch.
 
         Per active group the epoch's transmit decisions come from one
         :func:`decay_transmit_matrix` draw over the whole sender layer,
         and the coded subset masks from one batched ``rng.integers`` per
-        slot — instead of per-sender Python work.  On a bare honest
-        :class:`RadioNetwork` (no trace, no blacklist) the rounds go
-        through :meth:`RadioNetwork.resolve_round_vector` with no wire
-        tuples at all: senders are attributed to groups by their BFS
-        layer (concurrent groups occupy distinct layers), per-receiver
-        decoding state is a payload-free :class:`PackedGF2Basis` fed by
-        ``absorb_block`` at phase end (honest rows are always
-        span-consistent, so rank alone decides completion, and the
-        innovative count equals the rank gain in any absorption order),
-        and all integrity/authentication counters are provably zero.
-        Fault wrappers, traces, and blacklists fall back to sealed wire
-        tuples resolved through ``network.resolve_round`` and verified
-        by the shared :func:`process_received` pipeline.
+        slot — instead of per-sender Python work.
+
+        On a vector-capable network (no trace, no blacklist) the FORWARD
+        phase is the unit of work.  A node joins a transmitter set only
+        in the phase after it decodes (Lemma 3) and the phase schedule
+        is fixed (Lemma 7), so no transmit decision of a phase depends
+        on that phase's receptions: the slots only record who sent what,
+        and :func:`absorb_phase` resolves and absorbs them all at phase
+        end.  Every random draw stays where it is, so this path is
+        RNG-identical to the fallback.  Fault wrappers, traces, and
+        blacklists fall back to sealed wire tuples resolved slot by slot
+        through ``network.resolve_round`` and verified by the shared
+        :func:`process_received` pipeline.
 
         Returns the rounds consumed (``total_phases * phase_length``).
         """
-        nonlocal coded_tx, plain_tx, innovative_rx
+        nonlocal coded_tx, plain_tx
         direct = (
-            isinstance(network, RadioNetwork)
-            and type(network).resolve_round is RadioNetwork.resolve_round
+            RadioNetwork.vector_capable(network)
             and trace is None
             and not blacklist
         )
         reps = max(1, params.root_plain_repetitions)
         n_decay = epochs * slots
         layer_arrays = [np.array(lay, dtype=np.int64) for lay in layers]
-        # Direct-mode decoding state: plain packets as received-bitmask
-        # ints, coded rows as coefficient-only bases.
-        plain_bits: Dict[Tuple[int, int], int] = {}
-        bases: Dict[Tuple[int, int], PackedGF2Basis] = {}
-        # Per-slot scatter buffer mapping a transmitting node to the
-        # mask / packet index it sent (only slots written this round are
-        # ever read back).
-        val_of_tx = np.zeros(n, dtype=np.int64)
         root_arr = np.array([root], dtype=np.int64)
+        if direct:
+            pivots = np.zeros((in_flight * n, width), dtype=np.uint64)
+            plain_bits = np.zeros(in_flight * n, dtype=np.uint64)
         rounds = 0
 
         for phase in range(1, total_phases + 1):
@@ -531,12 +588,9 @@ def run_dissemination_stage(
 
             gs_root = len(groups[root_group]) if root_group >= 0 else 0
             touched: Set[Tuple[int, int]] = set()
-            # Direct-mode coded receptions accumulate per phase and are
-            # absorbed in one block per (receiver, group) at phase end —
-            # legal because promotion only happens at phase end anyway.
-            rx_recv: List[np.ndarray] = []
-            rx_group: List[int] = []
-            rx_rows: List[np.ndarray] = []
+            # Direct mode: (slot, group, transmitters, masks or packet
+            # indices) of every transmission of the phase.
+            sent: List[Tuple[int, int, np.ndarray, np.ndarray]] = []
             epoch_coins: Dict[int, np.ndarray] = {}
 
             for slot in range(phase_length):
@@ -569,58 +623,11 @@ def run_dissemination_stage(
                     continue
 
                 if direct:
-                    parts = [hot for _, _, hot, _, _ in tx_entries]
+                    for j, _, hot, vals, _ in tx_entries:
+                        sent.append((slot, j, hot, vals))
                     if root_tx:
-                        parts.append(root_arr)
-                    tx_all = (
-                        np.concatenate(parts) if len(parts) > 1 else parts[0]
-                    )
-                    for _, _, hot, vals, _ in tx_entries:
-                        val_of_tx[hot] = vals
-                    receivers, senders_of = network.resolve_round_vector(
-                        tx_all
-                    )
-                    if receivers.size == 0:
-                        continue
-                    s_layer = dist[senders_of]
-                    if root_tx:
-                        from_root = s_layer == 0
-                        rcv = receivers[from_root]
-                        if rcv.size:
-                            keep = ~has_group[rcv, root_group]
-                            if not params.opportunistic_decoding:
-                                keep &= dist[rcv] == 1
-                            idx_bit = 1 << (slot % gs_root)
-                            for v in rcv[keep].tolist():
-                                pair = (v, root_group)
-                                plain_bits[pair] = (
-                                    plain_bits.get(pair, 0) | idx_bit
-                                )
-                                touched.add(pair)
-                    for j, d, hot, vals, gs in tx_entries:
-                        from_j = s_layer == d - 1
-                        rcv = receivers[from_j]
-                        if rcv.size == 0:
-                            continue
-                        snd = senders_of[from_j]
-                        keep = ~has_group[rcv, j]
-                        if not params.opportunistic_decoding:
-                            keep &= dist[rcv] == d
-                        rcv = rcv[keep]
-                        if rcv.size == 0:
-                            continue
-                        rows = val_of_tx[snd[keep]]
-                        if params.coding_enabled:
-                            rx_recv.append(rcv)
-                            rx_group.append(j)
-                            rx_rows.append(rows)
-                        else:
-                            for v, pick in zip(rcv.tolist(), rows.tolist()):
-                                pair = (v, j)
-                                plain_bits[pair] = (
-                                    plain_bits.get(pair, 0) | (1 << pick)
-                                )
-                                touched.add(pair)
+                        sent.append((slot, root_group, root_arr,
+                                     np.array([slot % gs_root])))
                 else:
                     transmissions: Dict[int, object] = {}
                     if root_tx:
@@ -650,50 +657,16 @@ def run_dissemination_stage(
                         )
                     process_received(received, phase, touched)
 
-            # Phase end: batch-absorb the direct-mode coded rows, then
-            # promote exactly as the reference loop does.
-            if rx_recv:
-                all_recv = np.concatenate(rx_recv)
-                all_group = np.concatenate(
-                    [np.full(r.size, j, dtype=np.int64)
-                     for r, j in zip(rx_recv, rx_group)]
-                )
-                all_rows = np.concatenate(rx_rows)
-                order = np.lexsort((all_recv, all_group))
-                all_recv = all_recv[order]
-                all_group = all_group[order]
-                all_rows = all_rows[order]
-                boundaries = np.flatnonzero(
-                    (np.diff(all_recv) != 0) | (np.diff(all_group) != 0)
-                ) + 1
-                starts = np.concatenate(([0], boundaries))
-                ends = np.concatenate((boundaries, [all_recv.size]))
-                for a, b in zip(starts.tolist(), ends.tolist()):
-                    pair = (int(all_recv[a]), int(all_group[a]))
-                    touched.add(pair)
-                    basis = bases.get(pair)
-                    if basis is None:
-                        basis = PackedGF2Basis(len(groups[pair[1]]))
-                        bases[pair] = basis
-                    elif basis.is_complete:
-                        continue
-                    before = basis.rank
-                    rows_block = all_rows[a:b].tolist()
-                    basis.absorb_block(rows_block, [0] * (b - a))
-                    innovative_rx += basis.rank - before
-
             rounds += phase_length
             if direct:
-                for v, j in touched:
-                    if has_group[v, j]:
-                        continue
-                    gs = len(groups[j])
-                    if plain_bits.get((v, j), 0) == (1 << gs) - 1:
-                        has_group[v, j] = True
-                        continue
-                    basis = bases.get((v, j))
-                    if basis is not None and basis.is_complete:
-                        has_group[v, j] = True
+                if sent:
+                    absorb_phase(phase, root_group, sent, pivots, plain_bits)
+                last, rest = divmod(phase - ecc, spacing)
+                if not rest and last >= 0:
+                    block = slice((last % in_flight) * n,
+                                  (last % in_flight + 1) * n)
+                    pivots[block] = 0
+                    plain_bits[block] = 0
             else:
                 for v, j in touched:
                     try_complete(v, j)

@@ -168,11 +168,7 @@ def _build_bfs_columnar(
     """
     rounds = 0
     phases_run = 0
-    direct = (
-        isinstance(network, RadioNetwork)
-        and type(network).resolve_round is RadioNetwork.resolve_round
-        and trace is None
-    )
+    direct = RadioNetwork.vector_capable(network) and trace is None
     for phase in range(depth_bound):
         phases_run += 1
         frontier = np.flatnonzero(distance == phase)

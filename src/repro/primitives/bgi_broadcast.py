@@ -190,11 +190,7 @@ def _bgi_broadcast_columnar(
     ``resolve_round``) get real transmission dicts so their fault
     modeling and transcript recording see every round.
     """
-    direct = (
-        isinstance(network, RadioNetwork)
-        and type(network).resolve_round is RadioNetwork.resolve_round
-        and trace is None
-    )
+    direct = RadioNetwork.vector_capable(network) and trace is None
     rounds = 0
     epochs_run = 0
     for epoch in range(epochs):

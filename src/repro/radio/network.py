@@ -539,43 +539,79 @@ class RadioNetwork:
             self._csr = (indptr, indices)
         return self._csr
 
+    @staticmethod
+    def vector_capable(network: object) -> bool:
+        """May a stage driver resolve ``network``'s rounds through
+        :meth:`resolve_round_vector` instead of :meth:`resolve_round`?
+
+        Only when ``network`` is a :class:`RadioNetwork` whose dict
+        reception rule is this class's own: a subclass overriding
+        ``resolve_round`` (faults, SINR) or a proxy interposing on it
+        (recording, churn, dynamic faults) must see every round as a
+        dict.  A static method because proxies forward unknown
+        attributes to the network they wrap, so an instance method would
+        answer for the wrapped network.  ``RadioNetwork.resolve_round``
+        is looked up at call time, so replacing the class attribute
+        (tracing wrappers do) keeps the vector path.
+        """
+        return (
+            isinstance(network, RadioNetwork)
+            and type(network).resolve_round is RadioNetwork.resolve_round
+        )
+
     def resolve_round_vector(
-        self, tx_ids: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
+        self, tx_ids: np.ndarray, rounds: Optional[np.ndarray] = None
+    ) -> Tuple[np.ndarray, ...]:
         """Array-native reception: who hears whom, with no dict round-trip.
 
         Parameters
         ----------
         tx_ids:
-            int64 array of transmitting node ids (any order, no
-            duplicates).
+            int64 array of transmitting node ids (any order).  Without
+            ``rounds`` it is one round's transmitter set, with no
+            duplicates.
+        rounds:
+            Optional non-negative int64 round label per entry of
+            ``tx_ids``.  Entries sharing a label form one round, and
+            every round is resolved independently in the same pass; a
+            node may transmit in several rounds, at most once per round.
 
         Returns
         -------
         (receivers, senders):
-            ``receivers`` is the ascending int64 array of nodes that
-            successfully receive this round (exactly one transmitting
-            neighbor, not themselves transmitting); ``senders[i]`` is the
-            unique transmitting neighbor heard by ``receivers[i]``.
+            Without ``rounds``: ``receivers`` is the ascending int64 array
+            of nodes that successfully receive this round (exactly one
+            transmitting neighbor, not themselves transmitting);
+            ``senders[i]`` is the unique transmitting neighbor heard by
+            ``receivers[i]``.
+        (receivers, entries, labels):
+            With ``rounds``: one element per reception, sorted by
+            ``(label, receiver)``; ``entries[i]`` is the index into
+            ``tx_ids`` of the transmission heard, so a node transmitting
+            in several rounds is told apart per round.
 
-        The receiver *set* and per-receiver sender are identical to
-        :meth:`resolve_round` on the same transmitter set; this entry
-        point exists so the columnar stage drivers can batch whole
+        The receiver *set* and per-receiver sender of each round are
+        identical to :meth:`resolve_round` on the same transmitter set;
+        this entry point exists so the columnar stage drivers can batch
         rounds without materializing per-node message dicts.  It always
         uses the O(n + work) CSR scatter pass — never the bitset matrix
-        — so it is memory-safe at any n.
+        — so it is memory-safe at any n.  A single round counts hearers
+        with one ``bincount``; labelled rounds sort one key per
+        (round, neighbor) incidence instead, so their cost does not
+        grow with ``rounds × n``.
         """
         tx_ids = np.asarray(tx_ids, dtype=np.int64)
         n = self._n
-        if tx_ids.size == 0:
-            empty = np.zeros(0, dtype=np.int64)
-            return empty, empty
+        if rounds is not None:
+            rounds = np.asarray(rounds, dtype=np.int64)
+            if rounds.shape != tx_ids.shape:
+                raise ValueError("rounds must label every transmitter")
+        empty = np.zeros(0, dtype=np.int64)
         indptr, indices = self.csr_adjacency()
         counts = self._degrees[tx_ids]
         total = int(counts.sum())
         if total == 0:
-            empty = np.zeros(0, dtype=np.int64)
-            return empty, empty
+            return (empty,) * (2 if rounds is None else 3)
         # Gather all transmitters' neighbor lists in one vector pass:
         # positions indptr[t] .. indptr[t]+deg(t) for each t, flattened.
         starts = indptr[tx_ids]
@@ -583,12 +619,59 @@ class RadioNetwork:
         pos = np.arange(total, dtype=np.int64)
         pos += np.repeat(starts - (cum - counts), counts)
         all_nbrs = indices[pos]
+        if rounds is not None:
+            return self._resolve_labelled(tx_ids, rounds, counts, all_nbrs)
         reach = np.bincount(all_nbrs, minlength=n)
         reach[tx_ids] = 0  # half-duplex: transmitters never receive
         sender_of = np.zeros(n, dtype=np.int64)
         sender_of[all_nbrs] = np.repeat(tx_ids, counts)
         receivers = np.flatnonzero(reach == 1)
         return receivers, sender_of[receivers]
+
+    def _resolve_labelled(
+        self,
+        tx_ids: np.ndarray,
+        rounds: np.ndarray,
+        counts: np.ndarray,
+        all_nbrs: np.ndarray,
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The labelled half of :meth:`resolve_round_vector`.
+
+        Every incidence becomes the key ``(round·n + node)·(T+1) +
+        entry`` and every transmitter adds its own ``(round·n + self)``
+        key with the sentinel entry ``T``; after one sort, a
+        ``(round, node)`` run of length one that is not a sentinel is a
+        reception.  Two transmitting neighbors collide, and the sentinel
+        joins any run of a transmitting node, so half-duplex needs no
+        separate mask.
+        """
+        n = self._n
+        n_tx = tx_ids.size
+        if rounds.min() < 0:
+            raise ValueError("round labels must be non-negative")
+        span = n_tx + 1
+        if (int(rounds.max()) + 1) * n * span >= 2**63:
+            raise ValueError("too many labelled transmissions for int64 keys")
+        keys = np.empty(all_nbrs.size + n_tx, dtype=np.int64)
+        head = keys[:all_nbrs.size]
+        np.multiply(all_nbrs, span, out=head)
+        head += np.repeat(
+            rounds * (n * span) + np.arange(n_tx, dtype=np.int64), counts
+        )
+        tail = keys[all_nbrs.size:]
+        np.multiply(rounds * n + tx_ids, span, out=tail)
+        tail += n_tx
+        keys.sort()
+        node_key = keys // span
+        same = node_key[1:] == node_key[:-1]
+        lone = np.ones(keys.size, dtype=bool)
+        lone[1:] = ~same
+        lone[:-1] &= ~same
+        node_key = node_key[lone]
+        entry = keys[lone] - node_key * span
+        heard = entry != n_tx
+        labels, receivers = np.divmod(node_key[heard], n)
+        return receivers, entry[heard], labels
 
     # ------------------------------------------------------------------
     # Convenience constructors

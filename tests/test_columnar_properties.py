@@ -8,13 +8,19 @@ array code paths are most likely to get wrong (no transmitters, isolated
 nodes, a single-node network, a fully-connected clique) get explicit
 cases on top of the random sweep.
 
-Two stronger, deterministic equivalences ride along:
+Labelled (multi-round) resolution is checked against one
+``resolve_round_vector`` call per round.
+
+Three stronger, deterministic equivalences ride along:
 
 - the columnar BFS driver is RNG-stream-identical to the reference
   construction, so their parent/distance arrays must match *exactly*;
 - the columnar flood's direct (``resolve_round_vector``) and fallback
   (dict ``resolve_round`` through a proxy) modes consume the same RNG
-  stream, so wrapping the network must not change any outcome.
+  stream, so wrapping the network must not change any outcome;
+- so do the columnar Stage-4 driver's direct mode (phase-batched
+  resolution and GF(2) elimination) and its fallback (wire tuples and
+  hardened decoders, slot by slot).
 """
 
 import numpy as np
@@ -22,12 +28,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.coding.packets import make_packets, required_packet_bits
+from repro.core.config import AlgorithmParameters
+from repro.core.dissemination import run_dissemination_stage
 from repro.primitives.bfs import build_distributed_bfs
 from repro.primitives.bgi_broadcast import bgi_broadcast
 from repro.primitives.decay import (
     decay_transmit_matrix,
     transmission_probabilities,
 )
+from repro.radio.faults import FaultyRadioNetwork
 from repro.radio.network import RadioNetwork
 from repro.radio.rng import make_rng
 from repro.radio.transcript import RecordingNetwork
@@ -36,6 +46,7 @@ from repro.topology import (
     grid,
     hypercube,
     line,
+    random_geometric,
     ring,
     star,
     torus,
@@ -158,6 +169,95 @@ def test_vector_resolver_degenerate_cases():
     assert r.size == 0
 
 
+@st.composite
+def labelled_rounds(draw, max_n=16):
+    """A possibly-disconnected graph plus several rounds' transmit sets
+    (empty rounds and nodes transmitting in several rounds included),
+    flattened in shuffled order under gappy round labels."""
+    net, _ = draw(sparse_network_and_tx(max_n=max_n))
+    tx_sets = draw(
+        st.lists(st.sets(st.integers(0, net.n - 1)), max_size=6)
+    )
+    labels = sorted(
+        draw(
+            st.sets(
+                st.integers(0, 50),
+                min_size=len(tx_sets),
+                max_size=len(tx_sets),
+            )
+        )
+    )
+    entries = [(lab, v) for lab, tx in zip(labels, tx_sets) for v in tx]
+    order = draw(st.permutations(range(len(entries))))
+    return net, dict(zip(labels, tx_sets)), [entries[i] for i in order]
+
+
+@settings(max_examples=60, deadline=None)
+@given(labelled_rounds())
+def test_labelled_resolution_matches_per_round_calls(case):
+    net, rounds, entries = case
+    tx = np.array([v for _, v in entries], dtype=np.int64)
+    lab = np.array([label for label, _ in entries], dtype=np.int64)
+    receivers, which, labels = net.resolve_round_vector(tx, lab)
+    expected = []
+    for label in sorted(rounds):
+        r, s = net.resolve_round_vector(
+            np.array(sorted(rounds[label]), dtype=np.int64)
+        )
+        expected += [(label, int(a), int(b)) for a, b in zip(r, s)]
+    got = [
+        (int(label), int(r), int(tx[e]))
+        for label, r, e in zip(labels, receivers, which)
+    ]
+    assert got == expected
+    assert (lab[which] == labels).all()
+
+
+def test_labelled_resolution_degenerate_cases():
+    # path 1-0-2 plus the isolated node 3
+    net = RadioNetwork([(0, 1), (0, 2)], n=4, require_connected=False)
+    none = np.array([], dtype=np.int64)
+    assert all(a.size == 0 for a in net.resolve_round_vector(none, none))
+    isolated = net.resolve_round_vector(np.array([3]), np.array([0]))
+    assert all(a.size == 0 for a in isolated)
+    # the hub transmits in two rounds: each round's entry is told apart
+    r, e, lab = net.resolve_round_vector(np.array([0, 0]), np.array([5, 1]))
+    assert r.tolist() == [1, 2, 1, 2]
+    assert e.tolist() == [1, 1, 0, 0]
+    assert lab.tolist() == [1, 1, 5, 5]
+    # half-duplex inside a round, none across rounds
+    r, e, lab = net.resolve_round_vector(
+        np.array([0, 1, 1]), np.array([2, 2, 3])
+    )
+    assert r.tolist() == [2, 0]
+    assert e.tolist() == [0, 2]
+    assert lab.tolist() == [2, 3]
+    with pytest.raises(ValueError):
+        net.resolve_round_vector(np.array([0]), np.array([-1]))
+    with pytest.raises(ValueError):
+        net.resolve_round_vector(np.array([0, 1]), np.array([0]))
+    with pytest.raises(ValueError, match="int64"):
+        net.resolve_round_vector(np.array([0]), np.array([2**61]))
+
+
+def test_vector_capable_is_one_call_time_predicate(monkeypatch):
+    net = grid(3, 3)
+    assert RadioNetwork.vector_capable(net)
+    assert not RadioNetwork.vector_capable(RecordingNetwork(net))
+    assert not RadioNetwork.vector_capable(
+        FaultyRadioNetwork(net, erasure_prob=0.1, seed=1)
+    )
+    assert not RadioNetwork.vector_capable(object())
+    # Tracing replaces the class attribute with a wrapper; bare networks
+    # must keep the vector path.
+    original = RadioNetwork.resolve_round
+    monkeypatch.setattr(
+        RadioNetwork, "resolve_round", lambda self, tx: original(self, tx)
+    )
+    assert RadioNetwork.vector_capable(net)
+    assert not RadioNetwork.vector_capable(RecordingNetwork(net))
+
+
 # ----------------------------------------------------------------------
 # Batched Decay schedule vs per-slot draws
 # ----------------------------------------------------------------------
@@ -260,6 +360,67 @@ def test_columnar_flood_direct_and_fallback_modes_agree(net, seed, source):
     assert (direct.informed == fallback.informed).all()
     # connected graph + default epoch budget: the flood saturates
     assert direct.informed.all()
+
+
+STAGE4_OVERRIDES = {
+    "defaults": {},
+    "opportunistic": {"opportunistic_decoding": True},
+    "uncoded": {"coding_enabled": False},
+    "spacing1-reps2": {"group_spacing": 1, "root_plain_repetitions": 2},
+    "short-budget": {"forward_epochs_factor": 0.3},
+    # short enough that off-layer receptions change who decodes
+    "opportunistic-short": {
+        "opportunistic_decoding": True,
+        "forward_epochs_factor": 0.7,
+    },
+}
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize(
+    "overrides", list(STAGE4_OVERRIDES.values()), ids=list(STAGE4_OVERRIDES)
+)
+@pytest.mark.parametrize("topology", ["grid", "rgg"])
+def test_columnar_dissemination_direct_and_fallback_modes_agree(
+    topology, overrides, seed
+):
+    """Direct mode (one labelled resolution and one GF(2) elimination
+    per phase) and fallback mode (wire tuples slot by slot through a
+    recording proxy, hardened decoders) draw the same RNG stream, so a
+    wrapped network must produce the identical Stage-4 outcome."""
+
+    def make():
+        net = grid(6, 7) if topology == "grid" else random_geometric(
+            60, seed=seed
+        )
+        net.set_engine("columnar")
+        return net
+
+    bare = make()
+    wrapped = RecordingNetwork(make())
+    root = (7 * seed) % bare.n
+    distance = bare.bfs_distances(root)
+    packets = make_packets(
+        [root] * 20, required_packet_bits(bare.n), seed=seed
+    )
+    params = AlgorithmParameters(engine="columnar").with_overrides(
+        **overrides
+    )
+    direct = run_dissemination_stage(
+        bare, distance, root, packets, params, make_rng(seed)
+    )
+    fallback = run_dissemination_stage(
+        wrapped, distance, root, packets, params, make_rng(seed)
+    )
+    assert wrapped.transcript  # the fallback really ran
+    assert direct.rounds == fallback.rounds
+    assert (direct.has_group == fallback.has_group).all()
+    assert direct.innovative_receptions == fallback.innovative_receptions
+    assert direct.coded_transmissions == fallback.coded_transmissions
+    assert direct.plain_transmissions == fallback.plain_transmissions
+    assert direct.complete == fallback.complete
+    if overrides.get("forward_epochs_factor") == 0.3:
+        assert not direct.complete
 
 
 # ----------------------------------------------------------------------

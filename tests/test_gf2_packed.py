@@ -2,9 +2,10 @@
 
 The packed uint64 implementations (:func:`pack_rows_u64`,
 :func:`gf2_rank_packed`, :func:`gf2_solve_packed`,
-:class:`PackedGF2Basis`) must agree exactly with the pure-python
-references (:func:`gf2_rank`, :func:`gf2_solve`) on every input:
-pack/unpack round-trips, rank, solvability, solution values, and
+:class:`PackedGF2Basis`, :func:`gf2_absorb_batch`) must agree exactly
+with the pure-python references (:func:`gf2_rank`, :func:`gf2_rref`,
+:func:`gf2_solve`) or with sequential absorption on every input:
+pack/unpack round-trips, rank, spans, solvability, solution values, and
 inconsistency detection.
 """
 
@@ -15,9 +16,11 @@ from hypothesis import strategies as st
 
 from repro.coding.gf2 import (
     PackedGF2Basis,
+    gf2_absorb_batch,
     gf2_rank,
     gf2_rank_dense,
     gf2_rank_packed,
+    gf2_rref,
     gf2_solve,
     gf2_solve_packed,
     pack_int_u64,
@@ -260,3 +263,129 @@ def test_basis_rejects_bad_width():
         PackedGF2Basis(0)
     with pytest.raises(ValueError):
         PackedGF2Basis(65)
+
+
+# ----------------------------------------------------------------------
+# PackedGF2Basis.absorb_block vs sequential absorb
+# ----------------------------------------------------------------------
+
+
+@st.composite
+def block_stream(draw):
+    """Rows cut into blocks (empty and one-row blocks included), with
+    payloads up to 100 bits and rows that repeat an earlier coefficient
+    under a different payload (``INCONSISTENT`` once that row is in)."""
+    width = draw(st.integers(1, 64))
+    payload = st.one_of(
+        st.integers(0, (1 << 64) - 1), st.integers(0, (1 << 100) - 1)
+    )
+    stream = []
+    for _ in range(draw(st.integers(0, 2 * width + 2))):
+        if stream and draw(st.booleans()):
+            coeff, pay = stream[draw(st.integers(0, len(stream) - 1))]
+            stream.append((coeff, pay ^ draw(st.integers(1, 255))))
+        else:
+            stream.append((draw(st.integers(0, (1 << width) - 1)),
+                           draw(payload)))
+    cuts = sorted(draw(st.lists(st.integers(0, len(stream)), max_size=6)))
+    bounds = [0] + cuts + [len(stream)]
+    return width, [stream[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
+@COMMON
+@given(block_stream())
+def test_absorb_block_matches_sequential_absorb(case):
+    width, blocks = case
+    sequential = PackedGF2Basis(width)
+    blocked = PackedGF2Basis(width)
+    for block in blocks:
+        rows = [c for c, _ in block]
+        pays = [p for _, p in block]
+        expected = [sequential.absorb(c, p) for c, p in block]
+        assert blocked.absorb_block(rows, pays) == expected
+        assert blocked.rank == sequential.rank
+        assert blocked.solve_ints() == sequential.solve_ints()
+
+
+def test_absorb_block_edge_cases():
+    basis = PackedGF2Basis(3)
+    assert basis.absorb_block([], []) == []
+    assert basis.rank == 0
+    assert basis.absorb_block([0b011], [5]) == [PackedGF2Basis.INNOVATIVE]
+    assert basis.absorb_block(
+        [0b011, 0b011, 0b100, 0b001], [5, 6, 1, 7]
+    ) == [
+        PackedGF2Basis.REDUNDANT,
+        PackedGF2Basis.INCONSISTENT,
+        PackedGF2Basis.INNOVATIVE,
+        PackedGF2Basis.INNOVATIVE,
+    ]
+    assert basis.solve_ints() == [7, 5 ^ 7, 1]
+    with pytest.raises(ValueError):
+        basis.absorb_block([1, 2], [0])
+
+
+# ----------------------------------------------------------------------
+# gf2_absorb_batch vs per-basis PackedGF2Basis and the RREF reference
+# ----------------------------------------------------------------------
+
+
+@st.composite
+def batch_stream(draw):
+    """Random rows for several bases, cut into blocks; zero rows are
+    common and narrow widths make bases complete early and then keep
+    receiving rows."""
+    width = draw(st.one_of(st.sampled_from([1, 2, 64]), st.integers(1, 64)))
+    n_bases = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sizes = draw(st.lists(st.integers(0, 3 * width + 3), max_size=4))
+    blocks = []
+    for size in sizes:
+        rows = rng.integers(0, 1 << 63, size=size, dtype=np.uint64) << 1
+        rows |= rng.integers(0, 2, size=size, dtype=np.uint64)
+        if width < 64:
+            rows &= np.uint64((1 << width) - 1)
+        rows[rng.random(size) < 0.2] = 0
+        blocks.append((rng.integers(0, n_bases, size=size), rows))
+    return width, n_bases, blocks
+
+
+@COMMON
+@given(batch_stream())
+def test_absorb_batch_matches_packed_basis(case):
+    width, n_bases, blocks = case
+    pivots = np.zeros((n_bases, width), dtype=np.uint64)
+    oracles = [PackedGF2Basis(width) for _ in range(n_bases)]
+    streams = [[] for _ in range(n_bases)]
+    for ids, rows in blocks:
+        gains = gf2_absorb_batch(pivots, ids, rows)
+        assert gains.shape == (n_bases,)
+        for i in range(n_bases):
+            mine = [int(r) for r in rows[ids == i]]
+            before = oracles[i].rank
+            for r in mine:
+                oracles[i].absorb(r, 0)
+            streams[i] += mine
+            assert gains[i] == oracles[i].rank - before
+            held = [int(r) for r in pivots[i] if r]
+            # Same span: the RREF of a span is unique.
+            assert held == gf2_rref(streams[i], width)[0]
+            assert len(held) == oracles[i].rank
+            for b, r in enumerate(pivots[i].tolist()):
+                assert r == 0 or (r & -r) == 1 << b
+
+
+def test_absorb_batch_complete_basis_and_empty_input():
+    pivots = np.zeros((2, 2), dtype=np.uint64)
+    empty = np.zeros(0, dtype=np.uint64)
+    assert not gf2_absorb_batch(pivots, empty, empty).any()
+    gains = gf2_absorb_batch(
+        pivots, np.array([1, 1, 1, 1]), np.array([3, 0, 3, 1], np.uint64)
+    )
+    assert gains.tolist() == [0, 2]
+    assert pivots.tolist() == [[0, 0], [1, 2]]
+    gains = gf2_absorb_batch(
+        pivots, np.array([1, 0]), np.array([2, 2], np.uint64)
+    )
+    assert gains.tolist() == [1, 0]
+    assert pivots.tolist() == [[0, 2], [1, 2]]
