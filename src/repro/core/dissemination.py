@@ -477,19 +477,83 @@ def run_dissemination_stage(
         [(1 << len(grp)) - 1 for grp in groups], dtype=np.uint64
     )
 
+    reps = max(1, params.root_plain_repetitions)
+
+    def draw_phase_direct(
+        root_group: int, fsets: List[Tuple[int, int, np.ndarray, int]]
+    ) -> Optional[List[np.ndarray]]:
+        """Draw one direct-mode phase, a Decay epoch at a time.
+
+        Per epoch: the per-group coin matrices (one
+        :func:`decay_transmit_matrix` call each, as in the fallback),
+        then one ``rng.integers`` call for all of the epoch's subset
+        masks, or packet picks when uncoded, in (slot, group, sender)
+        order.  Returns the slot, group, sender and value of every
+        transmission of the phase, the root's plain packets included,
+        or None when the phase is silent.
+        """
+        nonlocal coded_tx, plain_tx
+        labels: List[np.ndarray] = []
+        tx_group: List[np.ndarray] = []
+        tx_ids: List[np.ndarray] = []
+        tx_vals: List[np.ndarray] = []
+        if fsets:
+            sizes = [senders.size for _, _, senders, _ in fsets]
+            col_sender = np.concatenate([s for _, _, s, _ in fsets])
+            col_group = np.repeat([j for j, _, _, _ in fsets], sizes)
+            col_high = np.repeat(
+                [1 << gs if params.coding_enabled else gs
+                 for _, _, _, gs in fsets],
+                sizes,
+            )
+            for epoch in range(epochs):
+                coins = np.concatenate(
+                    [decay_transmit_matrix(senders.size, rng, slots)
+                     for _, _, senders, _ in fsets],
+                    axis=1,
+                )
+                slot, col = np.nonzero(coins)  # (slot, group, sender) order
+                if col.size == 0:
+                    continue
+                labels.append(slot + epoch * slots)
+                tx_group.append(col_group[col])
+                tx_ids.append(col_sender[col])
+                tx_vals.append(rng.integers(0, col_high[col]))
+                if params.coding_enabled:
+                    coded_tx += col.size
+                else:
+                    plain_tx += col.size
+        if root_group >= 0:
+            gs_root = len(groups[root_group])
+            root_slots = np.arange(min(gs_root * reps, phase_length))
+            labels.append(root_slots)
+            tx_group.append(np.full(root_slots.size, root_group))
+            tx_ids.append(np.full(root_slots.size, root))
+            tx_vals.append(root_slots % gs_root)
+            plain_tx += root_slots.size
+        if not labels:
+            return None
+        return [np.concatenate(a) for a in (labels, tx_group, tx_ids, tx_vals)]
+
     def absorb_phase(
         phase: int,
         root_group: int,
-        sent: List[Tuple[int, int, np.ndarray, np.ndarray]],
+        labels: np.ndarray,
+        tx_group: np.ndarray,
+        tx_ids: np.ndarray,
+        tx_vals: np.ndarray,
         pivots: np.ndarray,
         plain_bits: np.ndarray,
     ) -> None:
         """Resolve and absorb one direct-mode phase, then promote.
 
-        One labelled :meth:`RadioNetwork.resolve_round_vector` call
-        resolves every round of the phase; receptions are attributed to
-        groups through the transmitting entry.  Plain packets set bits
-        in ``plain_bits``; coded rows go through one
+        ``labels``, ``tx_group``, ``tx_ids`` and ``tx_vals`` hold the
+        slot, group, sender and mask (or packet index) of every
+        transmission of the phase.  One labelled
+        :meth:`RadioNetwork.resolve_round_vector` call resolves every
+        round of the phase; receptions are attributed to groups through
+        the transmitting entry.  Plain packets set bits in
+        ``plain_bits``; coded rows go through one
         :func:`gf2_absorb_batch` elimination into the payload-free RREF
         ``pivots`` (honest rows are always span-consistent, so rank
         alone decides completion, and the rank gain is the innovative
@@ -497,19 +561,14 @@ def run_dissemination_stage(
         authentication counters are provably zero here.
         """
         nonlocal innovative_rx
-        sizes = [hot.size for _, _, hot, _ in sent]
-        receivers, entries, _ = network.resolve_round_vector(
-            np.concatenate([hot for _, _, hot, _ in sent]),
-            np.repeat([s for s, _, _, _ in sent], sizes),
-        )
-        rx_group = np.repeat([j for _, j, _, _ in sent], sizes)[entries]
+        receivers, entries, _ = network.resolve_round_vector(tx_ids, labels)
+        rx_group = tx_group[entries]
         keep = ~has_group[receivers, rx_group]
         if not params.opportunistic_decoding:
             keep &= dist[receivers] == phase - spacing * rx_group
         receivers = receivers[keep]
         rx_group = rx_group[keep]
-        vals = np.concatenate([v for _, _, _, v in sent])[entries[keep]]
-        vals = vals.astype(np.uint64)
+        vals = tx_vals[entries[keep]].astype(np.uint64)
         block = (rx_group % in_flight) * n + receivers
         if params.coding_enabled:
             coded = rx_group != root_group
@@ -534,20 +593,25 @@ def run_dissemination_stage(
 
         Per active group the epoch's transmit decisions come from one
         :func:`decay_transmit_matrix` draw over the whole sender layer,
-        and the coded subset masks from one batched ``rng.integers`` per
-        slot — instead of per-sender Python work.
+        instead of per-sender Python work.
 
         On a vector-capable network (no trace, no blacklist) the FORWARD
-        phase is the unit of work.  A node joins a transmitter set only
-        in the phase after it decodes (Lemma 3) and the phase schedule
-        is fixed (Lemma 7), so no transmit decision of a phase depends
-        on that phase's receptions: the slots only record who sent what,
-        and :func:`absorb_phase` resolves and absorbs them all at phase
-        end.  Every random draw stays where it is, so this path is
-        RNG-identical to the fallback.  Fault wrappers, traces, and
+        phase is the unit of resolution and the Decay epoch the unit of
+        drawing.  A node joins a transmitter set only in the phase after
+        it decodes (Lemma 3) and the phase schedule is fixed (Lemma 7),
+        so no transmit decision of a phase depends on that phase's
+        receptions.  After an epoch's coin matrices, one ``rng.integers``
+        call draws all of the epoch's subset masks (or packet picks) in
+        (slot, group, sender) order, and :func:`absorb_phase` resolves
+        and absorbs the whole phase at its end.  numpy draws bounded
+        integers element by element and PCG64 keeps its spare 32-bit
+        half-word in the generator state, so that one call consumes
+        exactly the stream of the per-slot calls it replaces: this path
+        is RNG-identical to the fallback.  Fault wrappers, traces, and
         blacklists fall back to sealed wire tuples resolved slot by slot
         through ``network.resolve_round`` and verified by the shared
-        :func:`process_received` pipeline.
+        :func:`process_received` pipeline; their masks keep one draw per
+        slot and group, because a fault layer may share the generator.
 
         Returns the rounds consumed (``total_phases * phase_length``).
         """
@@ -557,10 +621,8 @@ def run_dissemination_stage(
             and trace is None
             and not blacklist
         )
-        reps = max(1, params.root_plain_repetitions)
         n_decay = epochs * slots
         layer_arrays = [np.array(lay, dtype=np.int64) for lay in layers]
-        root_arr = np.array([root], dtype=np.int64)
         if direct:
             pivots = np.zeros((in_flight * n, width), dtype=np.uint64)
             plain_bits = np.zeros(in_flight * n, dtype=np.uint64)
@@ -586,13 +648,24 @@ def run_dissemination_stage(
                 if senders.size:
                     fsets.append((j, d, senders, len(groups[j])))
 
+            if direct:
+                sent = draw_phase_direct(root_group, fsets)
+                if sent is not None:
+                    absorb_phase(
+                        phase, root_group, *sent, pivots, plain_bits
+                    )
+                last, rest = divmod(phase - ecc, spacing)
+                if not rest and last >= 0:
+                    block = slice((last % in_flight) * n,
+                                  (last % in_flight + 1) * n)
+                    pivots[block] = 0
+                    plain_bits[block] = 0
+                rounds += phase_length
+                continue
+
             gs_root = len(groups[root_group]) if root_group >= 0 else 0
             touched: Set[Tuple[int, int]] = set()
-            # Direct mode: (slot, group, transmitters, masks or packet
-            # indices) of every transmission of the phase.
-            sent: List[Tuple[int, int, np.ndarray, np.ndarray]] = []
             epoch_coins: Dict[int, np.ndarray] = {}
-
             for slot in range(phase_length):
                 in_decay = slot < n_decay
                 epoch_slot = slot % slots
@@ -622,54 +695,37 @@ def run_dissemination_stage(
                 if not root_tx and not tx_entries:
                     continue
 
-                if direct:
-                    for j, _, hot, vals, _ in tx_entries:
-                        sent.append((slot, j, hot, vals))
-                    if root_tx:
-                        sent.append((slot, root_group, root_arr,
-                                     np.array([slot % gs_root])))
-                else:
-                    transmissions: Dict[int, object] = {}
-                    if root_tx:
-                        idx = slot % gs_root
-                        pkt = groups[root_group][idx]
-                        transmissions[root] = seal_plain(
-                            root, root_group, idx, pkt.payload, gs_root
-                        )
-                    for j, d, hot, vals, gs in tx_entries:
-                        payloads = group_payloads[j]
-                        if params.coding_enabled:
-                            for s_, m_ in zip(hot.tolist(), vals.tolist()):
-                                transmissions[s_] = seal_coded(
-                                    s_, j, m_, subset_xor(j, m_), gs
-                                )
-                        else:
-                            for s_, pick in zip(hot.tolist(), vals.tolist()):
-                                transmissions[s_] = seal_plain(
-                                    s_, j, pick, payloads[pick], gs
-                                )
-                    received = network.resolve_round(transmissions)
-                    if trace is not None:
-                        trace.observe(
-                            round_offset + rounds + slot,
-                            transmissions,
-                            received,
-                        )
-                    process_received(received, phase, touched)
+                transmissions: Dict[int, object] = {}
+                if root_tx:
+                    idx = slot % gs_root
+                    pkt = groups[root_group][idx]
+                    transmissions[root] = seal_plain(
+                        root, root_group, idx, pkt.payload, gs_root
+                    )
+                for j, d, hot, vals, gs in tx_entries:
+                    payloads = group_payloads[j]
+                    if params.coding_enabled:
+                        for s_, m_ in zip(hot.tolist(), vals.tolist()):
+                            transmissions[s_] = seal_coded(
+                                s_, j, m_, subset_xor(j, m_), gs
+                            )
+                    else:
+                        for s_, pick in zip(hot.tolist(), vals.tolist()):
+                            transmissions[s_] = seal_plain(
+                                s_, j, pick, payloads[pick], gs
+                            )
+                received = network.resolve_round(transmissions)
+                if trace is not None:
+                    trace.observe(
+                        round_offset + rounds + slot,
+                        transmissions,
+                        received,
+                    )
+                process_received(received, phase, touched)
 
             rounds += phase_length
-            if direct:
-                if sent:
-                    absorb_phase(phase, root_group, sent, pivots, plain_bits)
-                last, rest = divmod(phase - ecc, spacing)
-                if not rest and last >= 0:
-                    block = slice((last % in_flight) * n,
-                                  (last % in_flight + 1) * n)
-                    pivots[block] = 0
-                    plain_bits[block] = 0
-            else:
-                for v, j in touched:
-                    try_complete(v, j)
+            for v, j in touched:
+                try_complete(v, j)
         return rounds
 
     if getattr(network, "engine", None) == "columnar":

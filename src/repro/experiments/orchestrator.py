@@ -576,10 +576,16 @@ def _worker_main(
     campaigns, a job spec for the service daemon).
 
     SIGINT is ignored so Ctrl-C only stops the supervisor, which then
-    shuts workers down in order.  A dead supervisor closes the task
-    pipe, so orphaned workers exit on EOF instead of lingering.
+    shuts workers down in order.  SIGTERM gets its default action back,
+    since a worker forked by the CLI inherits the supervisor's drain
+    handler.  A worker whose supervisor died exits on its next
+    heartbeat, when it sees it was reparented: EOF on the task pipe is
+    not enough, because workers forked later hold copies of the
+    supervisor's pipe ends.
     """
     signal.signal(signal.SIGINT, signal.SIG_IGN)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    supervisor = os.getppid()
     inject = FaultInjection.from_json(inject_json) if inject_json else None
     send_lock = threading.Lock()
 
@@ -593,6 +599,8 @@ def _worker_main(
     def _beat() -> None:
         while True:
             time.sleep(heartbeat_interval)
+            if os.getppid() != supervisor:
+                os._exit(0)
             _send(("hb", worker_id))
 
     threading.Thread(target=_beat, daemon=True).start()

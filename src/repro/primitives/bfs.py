@@ -160,11 +160,12 @@ def _build_bfs_columnar(
     draw — which consumes the exact stream the reference per-slot loop
     consumes, so honest columnar BFS is RNG-identical to the reference,
     not merely semantically equivalent.  On a bare
-    :class:`RadioNetwork`, receptions flow through
-    :meth:`RadioNetwork.resolve_round_vector` (receiver/sender arrays;
-    no ``(sender, dist)`` tuples are ever materialized); fault wrappers
-    get real per-slot dicts so their interference and transcripts are
-    preserved.
+    :class:`RadioNetwork` the phase is the unit of work: its frontier is
+    fixed, so all of its epochs' coin matrices are drawn first and every
+    slot of the phase is resolved by one labelled
+    :meth:`RadioNetwork.resolve_round_vector` call (no ``(sender, dist)``
+    tuples are ever materialized).  Fault wrappers get real per-slot
+    dicts so their interference and transcripts are preserved.
     """
     rounds = 0
     phases_run = 0
@@ -177,36 +178,32 @@ def _build_bfs_columnar(
             # reference loop: the phase elapses silently.
             rounds += epochs_per_phase * num_slots
             continue
+        if direct:
+            _bfs_phase_direct(
+                network, rng, frontier, phase, epochs_per_phase, num_slots,
+                parent, distance,
+            )
+            rounds += epochs_per_phase * num_slots
+            continue
         for _ in range(epochs_per_phase):
             coins = decay_transmit_matrix(frontier.size, rng, num_slots)
             for slot in range(num_slots):
                 tx = frontier[coins[slot]]
-                if direct:
-                    receivers, senders = network.resolve_round_vector(tx)
-                    fresh = distance[receivers] < 0
-                    adopters = receivers[fresh]
-                    parent[adopters] = senders[fresh]
-                    distance[adopters] = phase + 1
-                else:
-                    transmissions = {
-                        int(t): (int(t), phase) for t in tx
-                    }
-                    received = network.resolve_round(transmissions)
-                    if trace is not None:
-                        trace.observe(
-                            round_offset + rounds + slot,
-                            transmissions,
-                            received,
-                        )
-                    for receiver, payload in received.items():
-                        if not (
-                            isinstance(payload, tuple) and len(payload) == 2
-                        ):
-                            continue  # stray traffic (e.g. a forged ACK)
-                        sender, sender_dist = payload
-                        if distance[receiver] < 0:
-                            parent[receiver] = sender
-                            distance[receiver] = sender_dist + 1
+                transmissions = {int(t): (int(t), phase) for t in tx}
+                received = network.resolve_round(transmissions)
+                if trace is not None:
+                    trace.observe(
+                        round_offset + rounds + slot,
+                        transmissions,
+                        received,
+                    )
+                for receiver, payload in received.items():
+                    if not (isinstance(payload, tuple) and len(payload) == 2):
+                        continue  # stray traffic (e.g. a forged ACK)
+                    sender, sender_dist = payload
+                    if distance[receiver] < 0:
+                        parent[receiver] = sender
+                        distance[receiver] = sender_dist + 1
             rounds += num_slots
 
     return DistributedBfsResult(
@@ -217,3 +214,41 @@ def _build_bfs_columnar(
         epochs_per_phase=epochs_per_phase,
         complete=bool((distance >= 0).all()),
     )
+
+
+def _bfs_phase_direct(
+    network: RadioNetwork,
+    rng: np.random.Generator,
+    frontier: np.ndarray,
+    phase: int,
+    epochs_per_phase: int,
+    num_slots: int,
+    parent: np.ndarray,
+    distance: np.ndarray,
+) -> None:
+    """Run one BFS phase with a single labelled reception call.
+
+    Newly reached nodes only transmit from the next phase on, so no
+    transmit decision of the phase depends on its receptions.  Slot
+    ``epoch·num_slots + s`` labels each transmission; labelled output is
+    sorted by (label, receiver), so the first occurrence of a receiver
+    is its earliest reception, whose sender it adopts — as the per-slot
+    loop does.
+    """
+    tx: List[np.ndarray] = []
+    labels: List[np.ndarray] = []
+    for epoch in range(epochs_per_phase):
+        coins = decay_transmit_matrix(frontier.size, rng, num_slots)
+        slot, idx = np.nonzero(coins)
+        tx.append(frontier[idx])
+        labels.append(slot + epoch * num_slots)
+    if not tx:
+        return  # a zero-epoch phase elapses silently
+    tx_ids = np.concatenate(tx)
+    receivers, entries, _ = network.resolve_round_vector(
+        tx_ids, np.concatenate(labels)
+    )
+    fresh = distance[receivers] < 0
+    adopters, first = np.unique(receivers[fresh], return_index=True)
+    parent[adopters] = tx_ids[entries[fresh][first]]
+    distance[adopters] = phase + 1

@@ -184,13 +184,24 @@ def _bgi_broadcast_columnar(
     skipped), which is exactly the divergence the semantic-equivalence
     oracles (rather than transcript digests) gate.
 
-    When ``network`` is a bare :class:`RadioNetwork` the slots go through
-    :meth:`RadioNetwork.resolve_round_vector` with no per-round dicts at
-    all; fault wrappers and proxies (anything overriding or interposing
+    When ``network`` is a bare :class:`RadioNetwork` the epoch is the
+    unit of work: its participant set is fixed, so one labelled
+    :meth:`RadioNetwork.resolve_round_vector` call resolves all of its
+    slots.  Before that call, participants with no uninformed neighbour
+    are dropped (their coins are still drawn): "informed" only grows,
+    so such a transmission reaches only informed nodes, and removing it
+    can only turn collisions at informed nodes into receptions there.
+    Fault wrappers and proxies (anything overriding or interposing
     ``resolve_round``) get real transmission dicts so their fault
     modeling and transcript recording see every round.
     """
     direct = RadioNetwork.vector_capable(network) and trace is None
+    if direct:
+        # uninformed[v]: how many neighbours of v are not yet informed
+        uninformed = np.diff(network.csr_adjacency()[0]) - np.bincount(
+            network.gather_neighbors(np.flatnonzero(informed)),
+            minlength=network.n,
+        )
     rounds = 0
     epochs_run = 0
     for epoch in range(epochs):
@@ -203,13 +214,18 @@ def _bgi_broadcast_columnar(
             break
         participants = np.flatnonzero(informed)
         coins = decay_transmit_matrix(participants.size, rng, num_slots)
-        for slot in range(num_slots):
-            tx = participants[coins[slot]]
-            if direct:
-                receivers, _ = network.resolve_round_vector(tx)
-                if receivers.size:
-                    informed[receivers] = True
-            else:
+        if direct:
+            coins &= uninformed[participants] > 0
+            slot, idx = np.nonzero(coins)
+            receivers, _, _ = network.resolve_round_vector(
+                participants[idx], slot
+            )
+            fresh = np.unique(receivers[~informed[receivers]])
+            informed[fresh] = True
+            np.subtract.at(uninformed, network.gather_neighbors(fresh), 1)
+        else:
+            for slot in range(num_slots):
+                tx = participants[coins[slot]]
                 transmissions = dict.fromkeys(tx.tolist(), message)
                 received = network.resolve_round(transmissions)
                 if trace is not None:

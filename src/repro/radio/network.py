@@ -539,6 +539,17 @@ class RadioNetwork:
             self._csr = (indptr, indices)
         return self._csr
 
+    def gather_neighbors(self, ids: np.ndarray) -> np.ndarray:
+        """The neighbor lists of ``ids``, concatenated in order, as one
+        int64 array (one vector pass over the CSR adjacency)."""
+        indptr, indices = self.csr_adjacency()
+        counts = self._degrees[ids]
+        # positions indptr[t] .. indptr[t]+deg(t) for each t, flattened
+        cum = np.cumsum(counts)
+        pos = np.arange(int(counts.sum()), dtype=np.int64)
+        pos += np.repeat(indptr[ids] - (cum - counts), counts)
+        return indices[pos]
+
     @staticmethod
     def vector_capable(network: object) -> bool:
         """May a stage driver resolve ``network``'s rounds through
@@ -606,19 +617,10 @@ class RadioNetwork:
             rounds = np.asarray(rounds, dtype=np.int64)
             if rounds.shape != tx_ids.shape:
                 raise ValueError("rounds must label every transmitter")
-        empty = np.zeros(0, dtype=np.int64)
-        indptr, indices = self.csr_adjacency()
         counts = self._degrees[tx_ids]
-        total = int(counts.sum())
-        if total == 0:
-            return (empty,) * (2 if rounds is None else 3)
-        # Gather all transmitters' neighbor lists in one vector pass:
-        # positions indptr[t] .. indptr[t]+deg(t) for each t, flattened.
-        starts = indptr[tx_ids]
-        cum = np.cumsum(counts)
-        pos = np.arange(total, dtype=np.int64)
-        pos += np.repeat(starts - (cum - counts), counts)
-        all_nbrs = indices[pos]
+        all_nbrs = self.gather_neighbors(tx_ids)
+        if all_nbrs.size == 0:
+            return (all_nbrs,) * (2 if rounds is None else 3)
         if rounds is not None:
             return self._resolve_labelled(tx_ids, rounds, counts, all_nbrs)
         reach = np.bincount(all_nbrs, minlength=n)

@@ -11,16 +11,20 @@ cases on top of the random sweep.
 Labelled (multi-round) resolution is checked against one
 ``resolve_round_vector`` call per round.
 
-Three stronger, deterministic equivalences ride along:
+Stronger, deterministic equivalences ride along, each down to the
+final generator state:
 
 - the columnar BFS driver is RNG-stream-identical to the reference
   construction, so their parent/distance arrays must match *exactly*;
-- the columnar flood's direct (``resolve_round_vector``) and fallback
-  (dict ``resolve_round`` through a proxy) modes consume the same RNG
-  stream, so wrapping the network must not change any outcome;
-- so do the columnar Stage-4 driver's direct mode (phase-batched
-  resolution and GF(2) elimination) and its fallback (wire tuples and
-  hardened decoders, slot by slot).
+- the columnar flood's and election's direct (``resolve_round_vector``)
+  and fallback (dict ``resolve_round`` through a proxy) modes consume
+  the same RNG stream, so wrapping the network must not change any
+  outcome;
+- so do the columnar Stage-4 driver's direct mode (epoch-batched mask
+  draws, phase-batched resolution and GF(2) elimination) and its
+  fallback (wire tuples and hardened decoders, slot by slot), which
+  rests on the numpy property pinned by
+  ``test_epoch_batched_integer_draws_match_per_slot_calls``.
 """
 
 import numpy as np
@@ -37,6 +41,7 @@ from repro.primitives.decay import (
     decay_transmit_matrix,
     transmission_probabilities,
 )
+from repro.primitives.leader_election import elect_leader
 from repro.radio.faults import FaultyRadioNetwork
 from repro.radio.network import RadioNetwork
 from repro.radio.rng import make_rng
@@ -281,6 +286,61 @@ def test_decay_matrix_bit_identical_to_per_slot_draws(m, num_slots, seed):
         assert (matrix[s] == expected).all()
 
 
+MASK_HIGHS = [1, 2, 3, 2**32, 2**40]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**63 - 1),
+    epochs=st.lists(
+        st.tuples(
+            st.integers(min_value=1, max_value=5),  # slots
+            st.integers(min_value=0, max_value=12),  # coin columns
+            st.lists(  # per slot: (high, size) per group
+                st.lists(
+                    st.tuples(
+                        st.sampled_from(MASK_HIGHS),
+                        st.integers(min_value=0, max_value=6),
+                    ),
+                    max_size=3,
+                ),
+                min_size=1,
+                max_size=5,
+            ),
+        ),
+        max_size=5,
+    ),
+)
+def test_epoch_batched_integer_draws_match_per_slot_calls(seed, epochs):
+    """Columnar Stage 4 draws an epoch's subset masks with one
+    ``rng.integers`` call over per-element highs, where its fallback
+    makes one call per slot and group.  The two are the same stream
+    because numpy draws bounded integers element by element and PCG64
+    keeps its spare 32-bit half-word in the generator state, not in the
+    call.  This pins both facts, with coin doubles between epochs: a
+    numpy release that breaks them fails here instead of silently
+    moving every columnar run."""
+    per_slot, batched = make_rng(seed), make_rng(seed)
+    for slots, m, calls in epochs:
+        coins = per_slot.random((slots, m))
+        assert np.array_equal(batched.random((slots, m)), coins)
+        expected = [
+            per_slot.integers(0, high, size=size)
+            for slot_calls in calls
+            for high, size in slot_calls
+            if size
+        ]
+        highs = np.array(
+            [high for slot_calls in calls for high, size in slot_calls
+             for _ in range(size)],
+            dtype=np.int64,
+        )
+        if highs.size:
+            got = batched.integers(0, highs)
+            assert np.array_equal(got, np.concatenate(expected))
+        assert batched.bit_generator.state == per_slot.bit_generator.state
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     m=st.integers(min_value=0, max_value=40),
@@ -328,38 +388,84 @@ def test_columnar_bfs_identical_to_reference(net, seed, root):
     ref_net.set_engine("reference")
     col_net = copy.deepcopy(net)
     col_net.set_engine("columnar")
-    ref = build_distributed_bfs(ref_net, root, make_rng(seed))
-    col = build_distributed_bfs(col_net, root, make_rng(seed))
+    ref_rng, col_rng = make_rng(seed), make_rng(seed)
+    ref = build_distributed_bfs(ref_net, root, ref_rng)
+    col = build_distributed_bfs(col_net, root, col_rng)
     assert ref.rounds == col.rounds
     assert (np.asarray(ref.distance) == np.asarray(col.distance)).all()
     assert (np.asarray(ref.parent) == np.asarray(col.parent)).all()
+    assert ref_rng.bit_generator.state == col_rng.bit_generator.state
 
 
-@settings(max_examples=20, deadline=None)
-@given(
-    net=connected_network(max_n=16),
-    seed=st.integers(min_value=0, max_value=2**31 - 1),
-    source=st.integers(min_value=0, max_value=10**9),
-)
-def test_columnar_flood_direct_and_fallback_modes_agree(net, seed, source):
-    """Direct mode (CSR kernel, no wire dicts) and fallback mode (dict
-    rounds through a recording proxy) draw the same RNG stream, so a
-    wrapped network must produce the identical flood outcome."""
-    source = source % net.n
+def _columnar_pair(net):
+    """Two columnar copies of ``net``: bare (direct path) and behind a
+    recording proxy (dict fallback)."""
     import copy
 
     bare = copy.deepcopy(net)
     bare.set_engine("columnar")
     wrapped_base = copy.deepcopy(net)
     wrapped_base.set_engine("columnar")
-    wrapped = RecordingNetwork(wrapped_base)
+    return bare, RecordingNetwork(wrapped_base)
 
-    direct = bgi_broadcast(bare, [source], make_rng(seed), message="x")
-    fallback = bgi_broadcast(wrapped, [source], make_rng(seed), message="x")
+
+@settings(max_examples=30, deadline=None)
+@given(
+    net=connected_network(max_n=16),
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+    sources=st.lists(
+        st.integers(min_value=0, max_value=10**9), min_size=1, max_size=3
+    ),
+    stop_early=st.booleans(),
+)
+def test_columnar_flood_direct_and_fallback_modes_agree(
+    net, seed, sources, stop_early
+):
+    """Direct mode (one labelled resolution per epoch, transmitters
+    with no uninformed neighbour pruned) and fallback mode (dict rounds
+    through a recording proxy) draw the same RNG stream, so a wrapped
+    network must produce the identical flood outcome."""
+    sources = [s % net.n for s in sources]
+    bare, wrapped = _columnar_pair(net)
+    direct_rng, fallback_rng = make_rng(seed), make_rng(seed)
+    direct = bgi_broadcast(
+        bare, sources, direct_rng, message="x", stop_early=stop_early
+    )
+    fallback = bgi_broadcast(
+        wrapped, sources, fallback_rng, message="x", stop_early=stop_early
+    )
     assert direct.rounds == fallback.rounds
+    assert direct.epochs == fallback.epochs
+    assert direct.epochs_to_complete == fallback.epochs_to_complete
     assert (direct.informed == fallback.informed).all()
+    assert direct_rng.bit_generator.state == fallback_rng.bit_generator.state
     # connected graph + default epoch budget: the flood saturates
     assert direct.informed.all()
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    net=connected_network(max_n=16),
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+    candidates=st.lists(
+        st.integers(min_value=0, max_value=10**9), min_size=1, max_size=4
+    ),
+)
+def test_columnar_election_direct_and_fallback_modes_agree(
+    net, seed, candidates
+):
+    """The election's BGI waves run on the direct path on a bare network
+    and on the dict fallback behind a recording proxy; both draw the
+    same stream, so every node must end with the same belief."""
+    candidates = [c % net.n for c in candidates]
+    bare, wrapped = _columnar_pair(net)
+    direct_rng, fallback_rng = make_rng(seed), make_rng(seed)
+    direct = elect_leader(bare, candidates, direct_rng)
+    fallback = elect_leader(wrapped, candidates, fallback_rng)
+    assert direct.rounds == fallback.rounds
+    assert direct.claimants == fallback.claimants
+    assert direct.belief_by_node == fallback.belief_by_node
+    assert direct_rng.bit_generator.state == fallback_rng.bit_generator.state
 
 
 STAGE4_OVERRIDES = {
@@ -384,8 +490,9 @@ STAGE4_OVERRIDES = {
 def test_columnar_dissemination_direct_and_fallback_modes_agree(
     topology, overrides, seed
 ):
-    """Direct mode (one labelled resolution and one GF(2) elimination
-    per phase) and fallback mode (wire tuples slot by slot through a
+    """Direct mode (one mask draw per epoch, one labelled resolution
+    and one GF(2) elimination per phase) and fallback mode (per-slot
+    mask draws, wire tuples slot by slot through a
     recording proxy, hardened decoders) draw the same RNG stream, so a
     wrapped network must produce the identical Stage-4 outcome."""
 
@@ -406,11 +513,12 @@ def test_columnar_dissemination_direct_and_fallback_modes_agree(
     params = AlgorithmParameters(engine="columnar").with_overrides(
         **overrides
     )
+    direct_rng, fallback_rng = make_rng(seed), make_rng(seed)
     direct = run_dissemination_stage(
-        bare, distance, root, packets, params, make_rng(seed)
+        bare, distance, root, packets, params, direct_rng
     )
     fallback = run_dissemination_stage(
-        wrapped, distance, root, packets, params, make_rng(seed)
+        wrapped, distance, root, packets, params, fallback_rng
     )
     assert wrapped.transcript  # the fallback really ran
     assert direct.rounds == fallback.rounds
@@ -419,6 +527,7 @@ def test_columnar_dissemination_direct_and_fallback_modes_agree(
     assert direct.coded_transmissions == fallback.coded_transmissions
     assert direct.plain_transmissions == fallback.plain_transmissions
     assert direct.complete == fallback.complete
+    assert direct_rng.bit_generator.state == fallback_rng.bit_generator.state
     if overrides.get("forward_epochs_factor") == 0.3:
         assert not direct.complete
 

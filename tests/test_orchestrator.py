@@ -520,10 +520,12 @@ def _itest_trial(seed):
 
 
 class TestKillOrchestratorIntegration:
-    def test_sigkill_then_resume_is_byte_identical(self, tmp_path):
-        """The ISSUE acceptance check: kill -9 the whole orchestrator
-        process mid-campaign, resume, and require a manifest
-        byte-identical to an uninterrupted run."""
+    def test_sigkill_then_resume_is_byte_identical(
+        self, tmp_path, child_watch
+    ):
+        """Kill -9 the whole orchestrator process mid-campaign, resume,
+        and require a manifest byte-identical to an uninterrupted run.
+        The killed orchestrator's workers must exit on their own."""
         trials = 30
         work = tmp_path / "work"
         ref = tmp_path / "ref"
@@ -554,8 +556,11 @@ class TestKillOrchestratorIntegration:
                     break
             time.sleep(0.01)
         assert done >= 3, "campaign never made progress"
+        watch = child_watch(proc.pid)
+        assert watch.children, "no pool workers to watch"
         os.kill(proc.pid, signal.SIGKILL)
         proc.wait(timeout=30)
+        assert watch.stragglers(within=5.0) == []
         assert not (work / "manifest.json").exists()
 
         # uninterrupted reference with the same spec and seeds

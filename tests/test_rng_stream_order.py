@@ -7,10 +7,17 @@ Both engines must emit receivers in ascending node order, and the
 resulting end-to-end RNG stream is pinned by digest so any future
 resolver change that silently reorders receptions (and thereby shifts
 every downstream random draw) fails loudly here.
+
+The columnar engine's direct path (bare network, no trace) is pinned by
+value too, since the agreement tests in ``test_columnar_properties.py``
+only compare it with its own dict fallback.
 """
 
+import hashlib
 import itertools
+import json
 
+import numpy as np
 import pytest
 
 from repro import MultipleMessageBroadcast, grid, uniform_random_placement
@@ -25,6 +32,20 @@ from repro.topology import hypercube, random_geometric
 # If this changes, the RNG stream of every seeded experiment changes.
 PINNED_DIGEST = "1a38c82d465be6ab7e07e241dd03c915c5e8ad17a6eb447d331422f454b57283"
 PINNED_ROUNDS = 5707
+
+
+# Full columnar runs on bare networks (the direct path of every stage
+# driver), digested with the final generator state.  These pin the direct
+# path by value: a biased coin shared by the direct path and its dict
+# fallback would pass every agreement test but move these digests.
+PINNED_COLUMNAR_DIRECT = {
+    "grid7x9-k12": (
+        "69b08441832d6765cb28c2833949b37d29c9ceeb3282c27083202678c299b443"
+    ),
+    "rgg80-k30": (
+        "0970336a853112fcdfc9d593849d70afe4890e7c3de97cb5f7e399149e731b2d"
+    ),
+}
 
 
 def _networks():
@@ -133,6 +154,50 @@ def test_columnar_end_to_end_same_outcome():
     result = MultipleMessageBroadcast(rec, seed=11).run(packets)
     assert result.success
     assert result.informed_fraction == 1.0
+
+
+def _columnar_direct_digest(net, k, packet_seed, run_seed):
+    """sha256 over per-stage rounds, leader, claimants and beliefs, the
+    BFS tree, ``has_group``, the Stage-4 counters and the final
+    generator state of one columnar run on a bare network."""
+    net.set_engine("columnar")
+    packets = uniform_random_placement(net, k=k, seed=packet_seed)
+    proto = MultipleMessageBroadcast(net, seed=run_seed)
+    result = proto.run(packets)
+    assert result.success
+    t = result.timing
+    diss = result.dissemination
+    record = {
+        "rounds": [t.leader_election, t.bfs, t.collection, t.dissemination],
+        "leader": result.leader,
+        "claimants": result.election.claimants,
+        "belief": result.election.belief_by_node,
+        "parent": result.bfs.parent,
+        "distance": result.bfs.distance,
+        "counters": [
+            diss.coded_transmissions,
+            diss.innovative_receptions,
+            diss.plain_transmissions,
+        ],
+        "rng": proto.rng.bit_generator.state,
+    }
+    h = hashlib.sha256(json.dumps(record, sort_keys=True).encode())
+    h.update(np.ascontiguousarray(diss.has_group).tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize(
+    "name, make, k, packet_seed, run_seed",
+    [
+        ("grid7x9-k12", lambda: grid(7, 9), 12, 3, 11),
+        ("rgg80-k30", lambda: random_geometric(80, seed=5), 30, 4, 13),
+    ],
+)
+def test_pinned_columnar_direct_digest(name, make, k, packet_seed, run_seed):
+    assert (
+        _columnar_direct_digest(make(), k, packet_seed, run_seed)
+        == PINNED_COLUMNAR_DIRECT[name]
+    )
 
 
 def test_resolver_contract_documented_in_reference():

@@ -487,7 +487,9 @@ def _src_env():
 
 
 class TestKillServeIntegration:
-    def test_sigkill_then_restart_is_byte_identical(self, tmp_path):
+    def test_sigkill_then_restart_is_byte_identical(
+        self, tmp_path, child_watch
+    ):
         specs = selftest_jobs(10, sleep_s=0.05)
         _drive(tmp_path / "ref", specs)
         reference = (tmp_path / "ref" / "manifest.json").read_bytes()
@@ -516,12 +518,16 @@ class TestKillServeIntegration:
                     pytest.fail("daemon exited before it was killed")
                 time.sleep(0.02)
             assert done >= 2, "daemon never made progress"
+            watch = child_watch(proc.pid)
+            assert watch.children, "no pool workers to watch"
             os.kill(proc.pid, signal.SIGKILL)
             proc.wait(timeout=30)
         finally:
             if proc.poll() is None:
                 proc.kill()
                 proc.wait(timeout=30)
+        # the killed daemon's workers exit on their own
+        assert watch.stragglers(within=5.0) == []
 
         rerun = subprocess.run(
             _serve_argv(root, "--idle-exit", "--json"), env=env,
