@@ -3,8 +3,8 @@
 Used by three consumers that must agree on methodology:
 
 - ``bench_perf_simulator.py --json`` (baseline capture),
-- ``bench_p1_fast_engine.py`` (the scaling study),
-- ``bench_p2_perf_guard.py`` (the regression guard).
+- ``bench_p2_perf_guard.py`` (the regression guard),
+- ``bench_p3_columnar_scaling.py`` (the columnar scaling study).
 
 Methodology notes baked in here so every consumer inherits them:
 
@@ -12,9 +12,9 @@ Methodology notes baked in here so every consumer inherits them:
 - the integrity-layer ``lru_cache``s are cleared before every timed
   end-to-end run: the caches are global, so whichever engine ran first
   would otherwise warm them for the second and bias the comparison;
-- engine comparisons always run both engines on the *same* prebuilt
-  inputs (same network object, same transmission patterns, same packet
-  workload) so only the resolver/kernel differs.
+- comparisons always run both sides on the *same* prebuilt inputs (same
+  network object, same transmission patterns, same packet workload) so
+  only the resolver/kernel or engine differs.
 """
 
 from __future__ import annotations
@@ -108,25 +108,28 @@ def contention_patterns(net, t: int, rounds: int, seed: int = 0) -> List[dict]:
 def measure_resolver(
     n: int, t: int, rounds: int = 100, seed: int = 21, reps: int = 3
 ) -> Dict[str, float]:
-    """Heavy-contention resolver replay, both engines, same patterns.
+    """Heavy-contention resolver replay: the per-transmitter scan
+    (``resolve_round_scan``) against the CSR kernel's dict adapter
+    (``resolve_round``), same patterns.
 
-    Engines interleaved per repetition, median per-pair ratio — see
+    Interleaved per repetition, median per-pair ratio — see
     :func:`interleaved_ratio`.
     """
     net = random_geometric(n, seed=seed)
     patterns = contention_patterns(net, t, rounds)
 
-    def replay(engine):
-        net.set_engine(engine)
+    def replay(resolve):
         for tx in patterns:
-            net.resolve_round(tx)
+            resolve(tx)
 
     stats = interleaved_ratio(
-        lambda: replay("reference"), lambda: replay("fast"), reps
+        lambda: replay(net.resolve_round_scan),
+        lambda: replay(net.resolve_round),
+        reps,
     )
     return {
         "n": n, "t": t, "rounds": rounds,
-        "reference": stats["slow"], "fast": stats["fast"],
+        "scan": stats["slow"], "kernel": stats["fast"],
         "speedup": stats["speedup"],
     }
 
@@ -255,31 +258,26 @@ def collect_baseline() -> dict:
     resolver = samples[1]
     rank = measure_rank(1024)
     solve = measure_solve(512)
-    measure_end_to_end(100, 32, "fast")  # discarded warmup: the first
-    # multibroadcast in a process pays one-time import/cache costs that
-    # would otherwise be booked against whichever engine runs first
-    e2e_fast = measure_end_to_end(100, 32, "fast")
+    measure_end_to_end(100, 32, "reference")  # discarded warmup: the
+    # first multibroadcast in a process pays one-time import/cache costs
+    # that would otherwise be booked against whichever engine runs first
     e2e_ref = measure_end_to_end(100, 32, "reference")
     grid_net = build_network("grid", 900)
     e2e_grid_col = measure_end_to_end(
         900, 24, "columnar", topology="grid", net=grid_net
     )
-    e2e_grid_fast = measure_end_to_end(
-        900, 24, "fast", topology="grid", net=grid_net
+    e2e_grid_ref = measure_end_to_end(
+        900, 24, "reference", topology="grid", net=grid_net
     )
     return {
         "schema": BASELINE_SCHEMA,
         "resolver_n500_t350": resolver,
         "rank_1024": rank,
         "solve_512": solve,
-        "end_to_end_n100_k32": {
-            "fast": e2e_fast,
-            "reference": e2e_ref,
-            "speedup": e2e_ref["seconds"] / e2e_fast["seconds"],
-        },
+        "end_to_end_n100_k32": {"reference": e2e_ref},
         "end_to_end_grid_n900_k24": {
-            "fast": e2e_grid_fast,
+            "reference": e2e_grid_ref,
             "columnar": e2e_grid_col,
-            "speedup": e2e_grid_fast["seconds"] / e2e_grid_col["seconds"],
+            "speedup": e2e_grid_ref["seconds"] / e2e_grid_col["seconds"],
         },
     }

@@ -5,10 +5,10 @@ unit — these time the simulator itself, so performance regressions in the
 hot paths (the collision resolver, Decay epochs, the RLNC decoder, a full
 small multi-broadcast) are caught by the benchmark history.
 
-The fast/reference engine comparisons at the bottom pin the P1 fast
-path's value where it is largest (heavy contention, wide GF(2) systems)
-and honestly where it is modest (full n=500, k=128 multibroadcast,
-which is floored by the protocol loop itself — see DESIGN.md).
+The comparisons at the bottom pin the reception kernel's lead over the
+per-transmitter scan under heavy contention, the packed GF(2) solver's
+lead on wide systems, and the reference engine's full n=500, k=128
+multibroadcast (floored by the protocol loop itself — see DESIGN.md).
 
 Run directly with ``--json PATH`` to capture the regression-guard
 baseline checked by ``bench_p2_perf_guard.py``::
@@ -107,14 +107,14 @@ def test_perf_full_multibroadcast_small(benchmark):
 
 
 # ----------------------------------------------------------------------
-# Engine comparison (P1 fast path)
+# Kernel and packed-solver comparisons
 # ----------------------------------------------------------------------
 
 
 def test_perf_resolver_engines_heavy_contention(benchmark):
-    """n=500, most of the network transmitting: the bitset+popcount
-    fast path's best case.  Asserts the >=5x headline speedup
-    (engines interleaved per repetition — see _perf.measure_resolver)."""
+    """n=500, most of the network transmitting: the CSR kernel against
+    the per-transmitter scan.  Asserts the >=5x headline speedup
+    (interleaved per repetition — see _perf.measure_resolver)."""
     stats = _perf.measure_resolver(500, 350, rounds=150, reps=5)
     benchmark.extra_info.update(stats)
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
@@ -133,24 +133,15 @@ def test_perf_gf2_solve_wide(benchmark):
     assert stats["speedup"] >= 1.5, stats
 
 
-def test_perf_multibroadcast_n500_k128_fast(benchmark):
-    """The ISSUE's reference workload under the fast engine.  Runs
-    exactly once (benchmark.pedantic): the workload is seconds-scale."""
-    def run():
-        return _perf.measure_end_to_end(500, 128, "fast")
-
-    stats = benchmark.pedantic(run, rounds=1, iterations=1)
-    benchmark.extra_info.update(stats)
-    assert stats["rounds"] == 48978  # pinned RNG stream
-
-
 def test_perf_multibroadcast_n500_k128_reference(benchmark):
+    """The n=500, k=128 workload under the reference engine.  Runs
+    exactly once (benchmark.pedantic): the workload is seconds-scale."""
     def run():
         return _perf.measure_end_to_end(500, 128, "reference")
 
     stats = benchmark.pedantic(run, rounds=1, iterations=1)
     benchmark.extra_info.update(stats)
-    assert stats["rounds"] == 48978  # identical stream to the fast engine
+    assert stats["rounds"] == 48978  # pinned RNG stream
 
 
 if __name__ == "__main__":

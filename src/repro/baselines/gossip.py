@@ -67,9 +67,10 @@ def decay_gossip_broadcast(
         ``8·(k + D + log n)·log(n+k)`` so that completion-time measurement
         is rarely truncated.
     engine:
-        Optional simulation-engine override (``"fast"``/``"reference"``)
-        pushed into ``network``; ``None`` keeps the network's current
-        engine.  Both engines are observationally identical.
+        Optional simulation-engine override (``"reference"``/
+        ``"columnar"``) pushed into ``network``; ``None`` keeps the
+        network's current engine.  Gossip has no columnar driver, so
+        both engines run it through the same reception kernel.
     selection:
         Which known packet a transmitter pushes (ablation A6):
 

@@ -113,24 +113,17 @@ class AlgorithmParameters:
     auth_master_key:
         Master key the per-node signing keys are derived from (a dealer
         secret; each node learns only its own derived key).
-    fast_engine:
-        **Deprecated** boolean tri-state, kept as a shim: ``True`` means
-        ``engine="fast"``, ``False`` means ``engine="reference"``,
-        ``None`` (default) defers to ``engine``.  Use ``engine``
-        instead; setting this emits a :class:`DeprecationWarning`, and
-        setting both to conflicting values raises :class:`ValueError`.
     engine:
         Simulation-engine name: one of
-        :data:`repro.radio.network.ENGINES` (``"fast"``,
-        ``"reference"``, ``"columnar"``) or ``None`` (default) to
-        inherit whatever engine the network already uses (the process
-        default, see :func:`set_default_engine`).  ``fast`` and
-        ``reference`` are observationally identical — same receptions,
-        same order, same RNG stream, same transcripts — which
-        :mod:`repro.testing.differential` cross-checks digest-exactly.
-        ``columnar`` runs the same protocol through whole-network
-        vectorized stage drivers whose batched RNG draws legitimately
-        reorder the random stream; it is gated by the
+        :data:`repro.radio.network.ENGINES` (``"reference"``,
+        ``"columnar"``) or ``None`` (default) to inherit whatever engine
+        the network already uses (the process default, see
+        :func:`set_default_engine`).  ``reference`` drives every stage
+        slot by slot through the reception kernel, and
+        :mod:`repro.testing.differential` replays its rounds against the
+        per-transmitter scan.  ``columnar`` runs the same protocol
+        through whole-network vectorized stage drivers whose batched RNG
+        draws legitimately reorder the random stream; it is gated by the
         semantic-equivalence oracles of :mod:`repro.testing.semantic`
         (same delivered sets, same collision counts, same drop
         accounting, same round budgets) rather than by transcript
@@ -159,30 +152,9 @@ class AlgorithmParameters:
     integrity_key: int = 0x9E3779B97F4A7C15
     authentication: bool = False
     auth_master_key: int = 0xD1B54A32D192ED03
-    fast_engine: Optional[bool] = None
     engine: Optional[str] = None
 
     def __post_init__(self) -> None:
-        if self.fast_engine is not None:
-            legacy = "fast" if self.fast_engine else "reference"
-            if self.engine is None:
-                import warnings
-
-                warnings.warn(
-                    "AlgorithmParameters(fast_engine=...) is deprecated; "
-                    f"use engine={legacy!r} instead",
-                    DeprecationWarning,
-                    stacklevel=3,
-                )
-                # frozen dataclass: bypass the immutability guard once,
-                # during construction, to resolve the shim.
-                object.__setattr__(self, "engine", legacy)
-            elif self.engine != legacy:
-                raise ValueError(
-                    f"conflicting engine selection: fast_engine="
-                    f"{self.fast_engine!r} implies {legacy!r} but engine="
-                    f"{self.engine!r}"
-                )
         if self.engine is not None and self.engine not in ENGINES:
             raise ValueError(
                 f"unknown engine {self.engine!r}; expected one of {ENGINES}"

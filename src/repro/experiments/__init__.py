@@ -7,8 +7,6 @@
 - :mod:`repro.experiments.orchestrator` — the fault-tolerant campaign
   runner: supervised worker pool, retry/backoff, quarantine, and
   checkpointed resume (journal + atomic manifest).
-- :mod:`repro.experiments.parallel` — compatibility shim mapping the
-  old ``run_trials_parallel`` API onto the orchestrator.
 - :mod:`repro.experiments.report` — plain-text table rendering for the
   per-experiment outputs recorded in EXPERIMENTS.md.
 - :mod:`repro.experiments.stability` — offered-load vs. service-capacity
@@ -37,7 +35,6 @@ from repro.experiments.orchestrator import (
     run_supervised,
     write_manifest,
 )
-from repro.experiments.parallel import run_trials_parallel
 from repro.experiments.plotting import ascii_chart, sparkline
 from repro.experiments.report import format_float, render_table
 from repro.experiments.scenarios import Scenario, get_scenario, scenario_names
@@ -96,7 +93,6 @@ __all__ = [
     "run_supervised",
     "run_trials",
     "scenario_names",
-    "run_trials_parallel",
     "single_source_burst",
     "sparkline",
     "uniform_random_placement",

@@ -1,11 +1,18 @@
 """The radio network: an undirected graph plus the collision-reception rule.
 
-A :class:`RadioNetwork` is immutable once constructed.  Its central method is
-:meth:`RadioNetwork.resolve_round`, the *only* implementation of the model's
-reception semantics in the whole library:
+A :class:`RadioNetwork` is immutable once constructed.  It implements the
+model's reception semantics once, as a CSR kernel:
 
     a node receives a message in a round iff exactly one of its neighbors
     transmits in that round, and the node itself is not transmitting.
+
+:meth:`RadioNetwork.resolve_round` (a ``transmitter -> message`` dict in,
+``receiver -> message`` out) is a thin adapter over that kernel, and
+:meth:`RadioNetwork.resolve_round_vector` exposes it array-in/array-out
+for the batched stage drivers.  :meth:`RadioNetwork.resolve_round_scan`
+states the same rule as a plain per-transmitter neighbor scan; it is the
+oracle tests and gates compare the kernel against, not a code path any
+engine takes.
 
 Everything else (diameter, BFS layers, degree statistics) is supporting
 machinery used by protocols and by the experiment harness.
@@ -20,28 +27,19 @@ import numpy as np
 
 from repro.radio.errors import TopologyError
 
-#: The interchangeable implementations of the reception rule / protocol
-#: execution.  ``"reference"`` is the original per-transmitter neighbor
-#: scan; ``"fast"`` resolves rounds with adaptive scatter/bitset numpy
-#: kernels.  Those two produce bit-identical results — same receivers,
-#: same messages, same (ascending) dict order — which the differential
-#: harness (:mod:`repro.testing.differential`) verifies digest-exactly.
-#: ``"columnar"`` additionally switches the protocol *stages* (election,
-#: BFS, collection, dissemination floods) to whole-network vectorized
-#: drivers that batch RNG draws; its dict-based :meth:`resolve_round` is
-#: identical to ``"fast"``, but the stage drivers legitimately reorder
-#: RNG streams, so it is gated by semantic-equivalence oracles
-#: (:mod:`repro.testing.semantic`) instead of transcript digests.
-ENGINES = ("fast", "reference", "columnar")
+#: The protocol engines.  Both resolve every round through the one
+#: reception kernel; they differ only in how the protocol *stages* drive
+#: it.  ``"reference"`` runs every stage slot by slot through
+#: :meth:`RadioNetwork.resolve_round`, drawing its randomness in the
+#: canonical order that the pinned transcript digests record.
+#: ``"columnar"`` switches the stages (election, BFS, collection,
+#: dissemination floods) to whole-network vectorized drivers that batch
+#: RNG draws; those legitimately reorder the random stream, so it is
+#: gated by semantic-equivalence oracles (:mod:`repro.testing.semantic`)
+#: instead of transcript digests.
+ENGINES = ("reference", "columnar")
 
-#: Dict-path rounds fall back from the bitset strategy to the scatter
-#: strategy above this node count: the packed adjacency matrix is
-#: ``n * ceil(n/64) * 8`` bytes (≈1.25 GB at n=10^5), which columnar-scale
-#: networks must never materialize.  The strategy switch is result- and
-#: order-identical, so transcript digests are unaffected.
-BITSET_MAX_N = 16384
-
-_default_engine = "fast"
+_default_engine = "reference"
 
 
 def set_default_engine(name: str) -> None:
@@ -92,12 +90,11 @@ class RadioNetwork:
     name:
         Optional human-readable label used in reports.
     engine:
-        Protocol/reception engine: one of :data:`ENGINES`
-        (``"fast"``, ``"reference"``, ``"columnar"``).  Defaults to the
-        module default (:func:`get_default_engine`).  ``fast`` and
-        ``reference`` are bit-for-bit equivalent; ``columnar`` resolves
-        dict rounds identically to ``fast`` but additionally enables the
-        vectorized stage drivers (see :meth:`resolve_round`).
+        Protocol engine: one of :data:`ENGINES` (``"reference"``,
+        ``"columnar"``).  Defaults to the module default
+        (:func:`get_default_engine`).  Both resolve rounds through the
+        same kernel; ``columnar`` additionally enables the vectorized
+        stage drivers.
     diameter_hint:
         Optional exact diameter, when the caller knows it in closed form
         (topology generators do for lines, rings, grids, tori,
@@ -153,14 +150,9 @@ class RadioNetwork:
             raise ValueError(
                 f"unknown engine {self._engine!r}; expected one of {ENGINES}"
             )
-        # Adjacency bitset matrix for the fast engine: row v holds the
-        # neighborhood of v as n bits packed into ceil(n/64) uint64 words
-        # (bit u of row v set iff edge (v, u)).  Built lazily on the first
-        # contended round so reference-engine runs pay nothing.
-        self._adj_words: Optional[np.ndarray] = None
-        # CSR adjacency (indptr, indices) for the columnar vector
-        # resolver; memory is O(n + m) so it scales to n=10^5-10^6.
-        # Built lazily on first use.
+        # CSR adjacency (indptr, indices) for the reception kernel;
+        # memory is O(n + m) so it scales to n=10^5-10^6.  Built lazily
+        # on first use.
         self._csr: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
         if require_connected and n > 1 and not self.is_connected():
@@ -177,17 +169,15 @@ class RadioNetwork:
 
     @property
     def engine(self) -> str:
-        """Which reception-resolution implementation this network uses."""
+        """Which protocol engine (stage drivers) this network uses."""
         return self._engine
 
     def set_engine(self, name: str) -> None:
         """Switch to another engine from :data:`ENGINES`.
 
-        Switching between ``fast`` and ``reference`` is safe at any point
-        — the two are bit-for-bit equivalent, so switching mid-run never
-        changes an execution.  Switching ``columnar`` on/off mid-run is
-        well-defined but changes which stage drivers (and hence which RNG
-        draw order) subsequent stages use.
+        Switching mid-run is well-defined: rounds resolve the same way
+        under either engine, but the switch changes which stage drivers
+        (and hence which RNG draw order) subsequent stages use.
         """
         if name not in ENGINES:
             raise ValueError(
@@ -354,10 +344,10 @@ class RadioNetwork:
 
         Notes
         -----
-        This is the single authoritative statement of the model's
-        interference semantics; all protocol engines route through it.
-        Two interchangeable implementations exist (see ``engine``); both
-        uphold the same contract, which downstream layers rely on:
+        Every protocol engine routes its dict rounds through this method,
+        a thin adapter over the CSR kernel behind
+        :meth:`resolve_round_vector`.  Downstream layers rely on its
+        contract:
 
         **Receivers are returned in ascending node order.**  The fault
         layers (:class:`repro.radio.faults.FaultyRadioNetwork`,
@@ -367,19 +357,35 @@ class RadioNetwork:
         contract — any resolver that returned the same *set* in a
         different *order* would silently perturb every downstream RNG
         stream.  ``tests/test_rng_stream_order.py`` pins this with a
-        digest regression test.
+        digest regression test, and checks it against
+        :meth:`resolve_round_scan`.
         """
-        if self._engine == "reference":
-            return self._resolve_round_reference(transmissions)
-        # "fast" and "columnar" share the dict-path resolver: columnar's
-        # difference lives in the stage drivers and the array-based
-        # resolve_round_vector, not in the dict contract.
-        return self._resolve_round_fast(transmissions)
+        if not transmissions:
+            return {}
 
-    def _resolve_round_reference(
+        if len(transmissions) == 1:
+            # Lone transmitter: its (sorted) neighborhood receives.
+            ((tx, message),) = transmissions.items()
+            return dict.fromkeys(self._neighbors[tx].tolist(), message)
+
+        tx_ids = np.fromiter(
+            transmissions, dtype=np.int64, count=len(transmissions)
+        )
+        receivers, senders = self._resolve_one_round(tx_ids)
+        get = transmissions.__getitem__
+        return dict(zip(receivers.tolist(), map(get, senders.tolist())))
+
+    def resolve_round_scan(
         self, transmissions: Mapping[int, object]
     ) -> Dict[int, object]:
-        """Per-transmitter neighbor scan (the original implementation)."""
+        """The reception rule as a per-transmitter neighbor scan.
+
+        Same contract as :meth:`resolve_round`, computed independently of
+        the CSR kernel.  No engine runs it: it is the oracle the kernel
+        is checked against (``tests/test_rng_stream_order.py``, the
+        differential gate of :mod:`repro.testing.differential`, and
+        :func:`repro.radio.transcript.verify_transcript`).
+        """
         if not transmissions:
             return {}
 
@@ -407,127 +413,16 @@ class RadioNetwork:
             received[v] = transmissions[int(sender_of[v])]
         return received
 
-    def adjacency_words(self) -> np.ndarray:
-        """The packed adjacency bitset matrix (built once, then cached).
-
-        Shape ``(n, ceil(n/64))`` uint64; bit ``u`` of row ``v`` (i.e.
-        word ``u // 64``, bit ``u % 64``) is set iff ``(v, u)`` is an
-        edge.  Do not mutate.
-        """
-        if self._adj_words is None:
-            n = self._n
-            n_words = max(1, (n + 63) >> 6)
-            words = np.zeros((n, n_words), dtype=np.uint64)
-            for v in range(n):
-                nbrs = self._neighbors[v]
-                if len(nbrs):
-                    np.bitwise_or.at(
-                        words[v],
-                        nbrs >> 6,
-                        np.uint64(1) << (nbrs & 63).astype(np.uint64),
-                    )
-            self._adj_words = words
-        return self._adj_words
-
-    def _resolve_round_fast(
-        self, transmissions: Mapping[int, object]
-    ) -> Dict[int, object]:
-        """Vectorized resolver, adaptively scatter- or bitset-based.
-
-        Sparse rounds (few transmitting neighbors in total) use a
-        gather/scatter pass over the transmitters' neighbor lists — the
-        reference algorithm with its per-transmitter Python loop replaced
-        by one ``np.add.at``.  Contended rounds use the adjacency bitset
-        matrix: ``reach[v] = popcount(adj[v] & tx_bitset)`` over uint64
-        words, whose cost is independent of the transmitter count — but
-        only up to :data:`BITSET_MAX_N` nodes, beyond which the O(n²/64)
-        matrix would dominate memory and the scatter pass is used
-        unconditionally.  The strategy choice is a deterministic function
-        of the inputs and both strategies produce the exact dict the
-        reference resolver produces, in the same ascending receiver
-        order.
-        """
-        if not transmissions:
-            return {}
-
-        if len(transmissions) == 1:
-            # Lone transmitter: its (sorted) neighborhood receives.
-            ((tx, message),) = transmissions.items()
-            return dict.fromkeys(self._neighbors[tx].tolist(), message)
-
-        n = self._n
-        tx_ids = np.fromiter(
-            transmissions.keys(), dtype=np.int64, count=len(transmissions)
-        )
-        work = int(self._degrees[tx_ids].sum())  # scatter-path edge scans
-
-        if work <= n or n > BITSET_MAX_N:
-            # -- scatter strategy ------------------------------------
-            nbr_lists = [self._neighbors[int(t)] for t in tx_ids]
-            all_nbrs = np.concatenate(nbr_lists)
-            reach = np.zeros(n, dtype=np.int64)
-            np.add.at(reach, all_nbrs, 1)
-            # Last-writer-wins like the reference loop; only hearers
-            # with a *unique* transmitting neighbor are ever read, so
-            # overwrite order is immaterial.
-            sender_of = np.zeros(n, dtype=np.int64)
-            sender_of[all_nbrs] = np.repeat(
-                tx_ids, [len(a) for a in nbr_lists]
-            )
-            reach[tx_ids] = 0  # half-duplex: transmitters never receive
-            hearers = np.flatnonzero(reach == 1)  # ascending
-            if hearers.size == 0:
-                return {}
-            senders = sender_of[hearers]
-        else:
-            # -- bitset strategy -------------------------------------
-            adj = self.adjacency_words()
-            n_words = adj.shape[1]
-            tx_words = np.zeros(n_words, dtype=np.uint64)
-            np.bitwise_or.at(
-                tx_words,
-                tx_ids >> 6,
-                np.uint64(1) << (tx_ids & 63).astype(np.uint64),
-            )
-
-            hit = adj & tx_words  # (n, n_words): tx neighbors of v
-            reach = popcount_u64(hit).sum(axis=1) if n_words > 1 \
-                else popcount_u64(hit[:, 0])
-            is_tx = np.zeros(n, dtype=bool)
-            is_tx[tx_ids] = True
-            hearers = np.flatnonzero((reach == 1) & ~is_tx)  # ascending
-            if hearers.size == 0:
-                return {}
-
-            rows = hit[hearers]
-            if n_words > 1:
-                word_idx = np.argmax(rows != 0, axis=1)
-                words = rows[np.arange(hearers.size), word_idx]
-            else:
-                word_idx = np.zeros(hearers.size, dtype=np.int64)
-                words = rows[:, 0]
-            # Exactly one bit survives per hearer; powers of two up to
-            # 2^63 are exact in float64, so log2 recovers the bit index
-            # exactly.
-            bits = np.log2(words.astype(np.float64)).astype(np.int64)
-            senders = (word_idx << 6) + bits
-
-        get = transmissions.__getitem__
-        return dict(
-            zip(hearers.tolist(), map(get, senders.tolist()))
-        )
-
     # ------------------------------------------------------------------
-    # Columnar (array-in / array-out) reception
+    # The reception kernel (array-in / array-out)
     # ------------------------------------------------------------------
 
     def csr_adjacency(self) -> Tuple[np.ndarray, np.ndarray]:
         """CSR adjacency ``(indptr, indices)`` (built once, then cached).
 
         ``indices[indptr[v]:indptr[v+1]]`` is the sorted neighbor list of
-        ``v``.  Memory is O(n + m), so unlike :meth:`adjacency_words`
-        this representation is safe at columnar scale (n=10^5-10^6).
-        Do not mutate.
+        ``v``.  Memory is O(n + m), so this representation is safe at
+        columnar scale (n=10^5-10^6).  Do not mutate.
         """
         if self._csr is None:
             indptr = np.zeros(self._n + 1, dtype=np.int64)
@@ -601,32 +496,44 @@ class RadioNetwork:
             ``tx_ids`` of the transmission heard, so a node transmitting
             in several rounds is told apart per round.
 
-        The receiver *set* and per-receiver sender of each round are
-        identical to :meth:`resolve_round` on the same transmitter set;
-        this entry point exists so the columnar stage drivers can batch
-        rounds without materializing per-node message dicts.  It always
-        uses the O(n + work) CSR scatter pass — never the bitset matrix
-        — so it is memory-safe at any n.  A single round counts hearers
-        with one ``bincount``; labelled rounds sort one key per
+        This is the kernel :meth:`resolve_round` adapts to dicts, so the
+        receiver order and per-receiver sender of each round are exactly
+        what that method delivers on the same transmitter set; the
+        stage drivers call it directly to batch rounds without
+        materializing per-node message dicts.  It is an O(n + work) CSR
+        scatter pass, memory-safe at any n.  A single round counts
+        hearers with one ``bincount``; labelled rounds sort one key per
         (round, neighbor) incidence instead, so their cost does not
         grow with ``rounds × n``.
         """
         tx_ids = np.asarray(tx_ids, dtype=np.int64)
-        n = self._n
-        if rounds is not None:
-            rounds = np.asarray(rounds, dtype=np.int64)
-            if rounds.shape != tx_ids.shape:
-                raise ValueError("rounds must label every transmitter")
-        counts = self._degrees[tx_ids]
+        if rounds is None:
+            return self._resolve_one_round(tx_ids)
+        rounds = np.asarray(rounds, dtype=np.int64)
+        if rounds.shape != tx_ids.shape:
+            raise ValueError("rounds must label every transmitter")
         all_nbrs = self.gather_neighbors(tx_ids)
         if all_nbrs.size == 0:
-            return (all_nbrs,) * (2 if rounds is None else 3)
-        if rounds is not None:
-            return self._resolve_labelled(tx_ids, rounds, counts, all_nbrs)
+            return (all_nbrs,) * 3
+        return self._resolve_labelled(
+            tx_ids, rounds, self._degrees[tx_ids], all_nbrs
+        )
+
+    def _resolve_one_round(
+        self, tx_ids: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """The single-round half of :meth:`resolve_round_vector`, shared
+        with :meth:`resolve_round` (which must not call the public method:
+        tracing wraps both by name and would book every dict round
+        twice)."""
+        all_nbrs = self.gather_neighbors(tx_ids)
+        if all_nbrs.size == 0:
+            return all_nbrs, all_nbrs
+        n = self._n
         reach = np.bincount(all_nbrs, minlength=n)
         reach[tx_ids] = 0  # half-duplex: transmitters never receive
         sender_of = np.zeros(n, dtype=np.int64)
-        sender_of[all_nbrs] = np.repeat(tx_ids, counts)
+        sender_of[all_nbrs] = np.repeat(tx_ids, self._degrees[tx_ids])
         receivers = np.flatnonzero(reach == 1)
         return receivers, sender_of[receivers]
 

@@ -5,7 +5,8 @@
 history of an execution.  Uses:
 
 - **model verification** — :func:`verify_transcript` replays the
-  transcript against a reference network and checks every round obeys
+  transcript through the per-transmitter scan
+  (:meth:`RadioNetwork.resolve_round_scan`) and checks every round obeys
   the reception rule (the simulator auditing itself; used by tests and
   available to users building new engines);
 - **per-node accounting** — :func:`per_node_transmissions` gives the
@@ -83,8 +84,10 @@ def verify_transcript(
 
     Checks, per round: receivers are disjoint from transmitters, every
     receiver got the message of one of its transmitting neighbors, and —
-    for plain graph-model networks — the reception set matches an
-    independent re-resolution exactly.
+    for plain graph-model networks — the received dict matches an
+    independent re-resolution by :meth:`RadioNetwork.resolve_round_scan`
+    exactly, receiver order included (fault layers draw randomness in
+    that order, so it is part of the contract).
 
     For stochastic channels (erasures) or SINR physics the exact-match
     check is skipped (re-resolution is not reproducible / rule differs);
@@ -117,12 +120,12 @@ def verify_transcript(
                     f"no transmitting neighbor sent"
                 )
         if exact:
-            expected = network.resolve_round(tx)
-            if expected != entry.received:
+            expected = network.resolve_round_scan(tx)
+            if list(expected.items()) != list(entry.received.items()):
                 violations.append(
-                    f"round {entry.index}: reception set does not match the "
-                    f"model (expected {sorted(expected)}, "
-                    f"got {sorted(entry.received)})"
+                    f"round {entry.index}: received dict does not match "
+                    f"the model (expected {list(expected)}, "
+                    f"got {list(entry.received)})"
                 )
     return violations
 

@@ -37,7 +37,7 @@ from repro.dynamic.continuous import (
     ContinuousPolicy,
     ContinuousResult,
 )
-from repro.radio.network import RadioNetwork
+from repro.radio.network import ENGINES, RadioNetwork
 from repro.radio.transcript import RecordingNetwork, TranscriptEntry
 from repro.resilience.byzantine import ByzantineSet
 from repro.resilience.network import DynamicFaultNetwork
@@ -204,10 +204,11 @@ def execute_campaign(
     """Run one campaign end to end, recording both transcripts.
 
     ``engine`` optionally overrides the simulation engine for the whole
-    fault stack.  ``"fast"`` and ``"reference"`` replay a campaign
-    bit-identically; ``"columnar"`` batches its RNG draws and is judged
-    by the semantic-equivalence gate (:mod:`repro.testing.semantic`)
-    instead.
+    fault stack.  A ``"reference"`` run replays bit-identically, round
+    by round, against the per-transmitter scan
+    (:mod:`repro.testing.differential`); ``"columnar"`` batches its RNG
+    draws and is judged by the semantic-equivalence gate
+    (:mod:`repro.testing.semantic`) instead.
     """
     base = build_topology_spec(campaign.topology)
     if engine is not None:
@@ -304,7 +305,13 @@ class CampaignConfig:
     round_bound_factor: float = DEFAULT_ROUND_BOUND_FACTOR
     max_stage_retries: int = 4
     max_reelections: int = 3
-    engine: str = "fast"
+    engine: str = "reference"
+
+    def __post_init__(self) -> None:
+        if self.engine not in ENGINES:
+            raise ValueError(
+                f"unknown engine {self.engine!r}; expected one of {ENGINES}"
+            )
 
     def to_json(self) -> dict:
         return {
@@ -332,7 +339,7 @@ class CampaignConfig:
             ),
             max_stage_retries=int(data.get("max_stage_retries", 4)),
             max_reelections=int(data.get("max_reelections", 3)),
-            engine=str(data.get("engine", "fast")),
+            engine=str(data.get("engine", "reference")),
         )
 
 

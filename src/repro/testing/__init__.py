@@ -1,16 +1,17 @@
 """Testing infrastructure shared by the test suite and CI jobs.
 
 :mod:`repro.testing.differential` is the differential-testing harness
-that replays pinned-seed scenarios through the digest-exact engine pair
-(``fast`` and ``reference``) and asserts they are observationally
-identical — same transcripts, same traces, same decoded sets.
+that runs pinned-seed scenarios under the ``reference`` engine and
+replays every round against the per-transmitter scan
+(``RadioNetwork.resolve_round_scan``): the reception kernel must match
+it round for round, receiver order included.
 
 :mod:`repro.testing.semantic` is the semantic-equivalence gate for the
 ``columnar`` engine, whose batched RNG draws legitimately reorder the
 random stream: instead of digests it checks delivered sets, outcome
 equality, reception-rule and vector-resolver replays, drop accounting,
 and the Theorem-2 round envelope.  :func:`run_three_way` combines both
-into the full engine matrix.
+into the full matrix, feeding one ``reference`` run to each.
 """
 
 from repro.testing.differential import (
@@ -18,7 +19,7 @@ from repro.testing.differential import (
     DifferentialReport,
     DifferentialScenario,
     EngineRun,
-    compare_engines,
+    replay_against_scan,
     run_scenario,
     scenario_by_name,
     serialize_entry,
@@ -43,7 +44,7 @@ __all__ = [
     "SemanticReport",
     "SemanticVerdict",
     "ThreeWayReport",
-    "compare_engines",
+    "replay_against_scan",
     "round_collision_count",
     "run_scenario",
     "run_three_way",

@@ -1,18 +1,25 @@
-"""Differential testing of the two simulation engines.
+"""Differential testing of the reception kernel against the scan oracle.
 
-The ``fast`` engine (bitset reception resolution, word-packed GF(2)
-elimination) must be *observationally identical* to the ``reference``
-engine: same receptions in the same order, same RNG stream, same fault
-injections, same decoded payloads, same transcripts bit for bit.
-Equivalence is the whole risk of having a fast path at all, so this
-module makes it testable as data:
+Every engine resolves its dict rounds through the one CSR reception
+kernel behind ``RadioNetwork.resolve_round``.
+``RadioNetwork.resolve_round_scan`` states the same rule as a plain
+per-transmitter neighbor scan, and this module holds the kernel to it on
+whole executions, as data:
 
 - a :class:`DifferentialScenario` pins one complete execution — topology,
   workload, fault profile and every seed — as a serializable description;
 - :func:`run_scenario` replays it under one engine and reduces the
   execution to digests and summaries (:class:`EngineRun`);
-- :func:`compare_engines` runs both engines and reports the first
-  divergence, if any (:class:`DifferentialReport`).
+- :func:`replay_against_scan` runs it once under ``reference`` and
+  re-resolves every recorded pre-fault round through the scan, reporting
+  the first round whose received dict differs, receiver order included
+  (:class:`DifferentialReport`).
+
+One run plus a replay guarantees what running a scan-resolved engine
+beside the kernel would: the resolver is the only code in which the two
+would differ, so if kernel and scan agree, order included, on every
+round the run executed, a scan-resolved run would make the same random
+draws and produce the same transcripts.
 
 :data:`PINNED_SCENARIOS` is the standing matrix — grid, random
 geometric and hypercube topologies crossed with clean, crash, jam and
@@ -33,7 +40,7 @@ import hashlib
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.radio.network import ENGINES
+from repro.radio.network import ENGINES, RadioNetwork
 from repro.radio.transcript import TranscriptEntry
 from repro.resilience.chaos.fuzzer import ChaosCampaign
 from repro.resilience.chaos.runner import execute_campaign
@@ -47,7 +54,7 @@ from repro.resilience.schedule import FaultSchedule
 
 @dataclass(frozen=True)
 class DifferentialScenario:
-    """One pinned execution to replay under both engines.
+    """One pinned execution to replay.
 
     ``faults`` is a named profile (``clean`` / ``crash`` / ``jam`` /
     ``byzantine``); :meth:`campaign` expands it into a fully seeded
@@ -101,9 +108,9 @@ class DifferentialScenario:
 
 
 #: The standing scenario matrix: three topology families x four fault
-#: profiles.  Small enough for CI, large enough to cover the resolver's
-#: strategy crossover (grid = sparse scatter path, RGG = denser rounds,
-#: hypercube = regular degree) and every fault-layer hook.
+#: profiles.  Small enough for CI, large enough to cover sparse rounds
+#: (grid), denser contended rounds (RGG), regular degree (hypercube) and
+#: every fault-layer hook.
 PINNED_SCENARIOS: Tuple[DifferentialScenario, ...] = tuple(
     DifferentialScenario(
         name=f"{topo_name}-{faults}",
@@ -141,9 +148,9 @@ def serialize_entry(entry: TranscriptEntry) -> str:
     """Canonical one-line rendering of one transcript round.
 
     Dict iteration order is serialized as-is: reception order is part
-    of the engine contract (ascending receivers, see
-    ``RadioNetwork.resolve_round``), so an engine that produced the same
-    receptions in a different order must NOT compare equal.
+    of the resolver contract (ascending receivers, see
+    ``RadioNetwork.resolve_round``), so a run that produced the same
+    receptions in a different order must NOT digest equal.
     """
     tx = ";".join(f"{v}={m!r}" for v, m in entry.transmissions.items())
     rx = ";".join(f"{v}={m!r}" for v, m in entry.received.items())
@@ -171,17 +178,6 @@ class EngineRun:
     outer_rounds: int
     result_summary: Dict[str, object]
     decoded: Dict[str, object]  #: who decoded what (delivery sets)
-
-    def comparable(self) -> Dict[str, object]:
-        """Everything that must match across engines."""
-        return {
-            "inner_digest": self.inner_digest,
-            "outer_digest": self.outer_digest,
-            "inner_rounds": self.inner_rounds,
-            "outer_rounds": self.outer_rounds,
-            "result_summary": self.result_summary,
-            "decoded": self.decoded,
-        }
 
 
 def run_scenario(
@@ -252,79 +248,62 @@ def run_scenario(
 
 @dataclass
 class DifferentialReport:
-    """Outcome of one fast-vs-reference comparison."""
+    """Outcome of one reference run replayed against the scan."""
 
     scenario: str
     equal: bool
-    fast: EngineRun
-    reference: EngineRun
+    run: EngineRun
     divergences: List[str] = field(default_factory=list)
 
     def explain(self) -> str:
         if self.equal:
-            return f"{self.scenario}: engines identical"
-        return f"{self.scenario}: ENGINES DIVERGE\n" + "\n".join(
+            return (
+                f"{self.scenario}: kernel and scan identical on all "
+                f"{self.run.inner_rounds} rounds of the reference run"
+            )
+        return f"{self.scenario}: KERNEL DIVERGES FROM SCAN\n" + "\n".join(
             f"  - {d}" for d in self.divergences
         )
 
 
-def _first_transcript_divergence(
-    label: str,
-    fast: List[TranscriptEntry],
-    reference: List[TranscriptEntry],
+def _first_scan_divergence(
+    network: RadioNetwork, transcript: List[TranscriptEntry]
 ) -> Optional[str]:
-    """Locate the first round where two transcripts differ."""
-    for i, (f, r) in enumerate(zip(fast, reference)):
-        sf, sr = serialize_entry(f), serialize_entry(r)
-        if sf != sr:
+    """The first round of ``transcript`` whose received dict differs,
+    receiver order included, from ``network.resolve_round_scan`` on the
+    same transmissions; ``None`` when every round agrees."""
+    for entry in transcript:
+        expected = network.resolve_round_scan(entry.transmissions)
+        if list(expected.items()) != list(entry.received.items()):
             return (
-                f"{label} transcript first diverges at round {i}:\n"
-                f"      fast:      {sf[:400]}\n"
-                f"      reference: {sr[:400]}"
+                f"inner round {entry.index} differs from the scan:\n"
+                f"      kernel: {list(entry.received.items())!r:.400}\n"
+                f"      scan:   {list(expected.items())!r:.400}"
             )
-    if len(fast) != len(reference):
-        return (
-            f"{label} transcript length differs: "
-            f"fast={len(fast)} reference={len(reference)}"
-        )
     return None
 
 
-def compare_engines(scenario: DifferentialScenario) -> DifferentialReport:
-    """Replay ``scenario`` under both engines and diff every artifact."""
-    fast_run, fast_inner, fast_outer = run_scenario(scenario, "fast")
-    ref_run, ref_inner, ref_outer = run_scenario(scenario, "reference")
+def replay_against_scan(
+    scenario: DifferentialScenario, execution=None
+) -> DifferentialReport:
+    """Run ``scenario`` under ``reference`` and re-resolve every inner
+    (pre-fault) round through :meth:`RadioNetwork.resolve_round_scan`.
 
-    divergences: List[str] = []
-    if fast_run.inner_digest != ref_run.inner_digest:
-        divergences.append(
-            _first_transcript_divergence("inner", fast_inner, ref_inner)
-            or "inner digests differ but rounds compare equal (!)"
+    ``execution`` optionally supplies an already-executed ``reference``
+    :class:`~repro.resilience.chaos.runner.TrialExecution` of
+    ``scenario``, so the semantic gate's baseline and this replay share
+    one run.  The pinned scenarios have no churn layer, so the inner
+    transcript holds exactly what the base network resolved.
+    """
+    if execution is None:
+        execution = execute_campaign(
+            scenario.campaign(), preset=scenario.preset, engine="reference"
         )
-    if fast_run.outer_digest != ref_run.outer_digest:
-        divergences.append(
-            _first_transcript_divergence("outer", fast_outer, ref_outer)
-            or "outer digests differ but rounds compare equal (!)"
-        )
-    if fast_run.result_summary != ref_run.result_summary:
-        for key in fast_run.result_summary:
-            fv = fast_run.result_summary[key]
-            rv = ref_run.result_summary[key]
-            if fv != rv:
-                divergences.append(
-                    f"result.{key}: fast={fv!r} reference={rv!r}"
-                )
-    if fast_run.decoded != ref_run.decoded:
-        for key in fast_run.decoded:
-            fv, rv = fast_run.decoded[key], ref_run.decoded[key]
-            if fv != rv:
-                divergences.append(
-                    f"decoded.{key}: fast={fv!r} reference={rv!r}"
-                )
+    run, inner, _ = run_scenario(scenario, "reference", execution=execution)
+    divergence = _first_scan_divergence(execution.base_network, inner)
     return DifferentialReport(
         scenario=scenario.name,
-        equal=not divergences,
-        fast=fast_run,
-        reference=ref_run,
-        divergences=divergences,
+        equal=divergence is None,
+        run=run,
+        divergences=[] if divergence is None else [divergence],
     )

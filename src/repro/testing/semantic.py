@@ -1,14 +1,15 @@
 """Semantic-equivalence gating for the ``columnar`` engine.
 
-The ``fast`` engine is held to *bit-identical* transcripts against
-``reference`` (:func:`repro.testing.differential.compare_engines`).  The
-``columnar`` engine cannot be: it draws whole Decay schedules and coded
-subset masks in batched numpy calls and skips provably-redundant
-post-saturation rounds, so its RNG stream — and therefore every digest —
-legitimately diverges.  What must NOT diverge is the *semantics*: the
-physics of every round it executed, the sets it delivered, the fault
-accounting, and the round budget.  This module makes that gate explicit
-as a suite of per-run oracles:
+A ``reference`` run is held to *bit-identical* rounds against the
+per-transmitter scan
+(:func:`repro.testing.differential.replay_against_scan`).  The
+``columnar`` engine cannot be held to the reference run's digests: it
+draws whole Decay schedules and coded subset masks in batched numpy
+calls and skips provably-redundant post-saturation rounds, so its RNG
+stream — and therefore every digest — legitimately diverges.  What must
+NOT diverge is the *semantics*: the physics of every round it executed,
+the sets it delivered, the fault accounting, and the round budget.  This
+module makes that gate explicit as a suite of per-run oracles:
 
 ``delivered_sets``
     The candidate run's delivery artifacts (packets lost/undelivered,
@@ -17,15 +18,15 @@ as a suite of per-run oracles:
     Protocol-level outcome equality: success flag, informed fraction,
     coverage, elected leader, mis-decode count.
 ``reception_rule``
-    Every recorded pre-fault round re-resolves exactly under the
-    reference collision model (:func:`verify_transcript`).
+    Every recorded pre-fault round re-resolves exactly, receiver order
+    included, under the per-transmitter scan
+    (:func:`verify_transcript`), which shares no code with the kernel.
 ``collision_counts``
-    Every recorded round is re-resolved through the *vectorized* CSR
-    resolver (:meth:`RadioNetwork.resolve_round_vector`) on a fresh
-    copy of the topology: receiver sets and per-round collision counts
-    must match the transcript.  This pits the columnar physics kernel
-    against the reference physics on the run's actual traffic and
-    reports the first diverging round.
+    Every recorded round is re-resolved through the array entry point
+    of the kernel (:meth:`RadioNetwork.resolve_round_vector`) on a
+    fresh copy of the topology: receiver sets and per-round collision
+    counts must match the transcript, and the first diverging round is
+    reported.
 ``drop_accounting``
     The chaos-harness identity: receptions lost between the inner and
     outer transcripts are booked by exactly one fault counter (reuses
@@ -34,9 +35,9 @@ as a suite of per-run oracles:
     The candidate finished within the Theorem 2 budget envelope and
     within a constant factor of the baseline's total rounds.
 
-:func:`run_three_way` combines the digest-exact pair comparison with
-the semantic gate, producing one report per pinned scenario for the
-three-way CI matrix.
+:func:`run_three_way` combines the scan replay with the semantic gate,
+producing one report per pinned scenario for the CI matrix; one
+``reference`` run feeds both.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ from repro.testing.differential import (
     DifferentialReport,
     DifferentialScenario,
     EngineRun,
-    compare_engines,
+    replay_against_scan,
     run_scenario,
 )
 
@@ -290,13 +291,15 @@ def semantic_compare(
     baseline_engine: str = "reference",
     round_ratio: float = DEFAULT_ROUND_RATIO,
     bound_factor: float = DEFAULT_BOUND_FACTOR,
+    baseline: Optional[EngineRun] = None,
 ) -> SemanticReport:
     """Run ``scenario`` under both engines and apply the oracle suite.
 
     The baseline run only feeds the cross-engine oracles
-    (``delivered_sets`` / ``outcome`` / ``round_envelope``); the
-    physics-level oracles judge the candidate's own transcript against
-    the reference collision model and the vectorized resolver.
+    (``delivered_sets`` / ``outcome`` / ``round_envelope``); pass an
+    already-reduced ``baseline`` to reuse one.  The physics-level
+    oracles judge the candidate's own transcript against the scan and
+    the vectorized resolver.
     """
     cand_exec = execute_campaign(
         scenario.campaign(), preset=scenario.preset, engine=candidate_engine
@@ -304,7 +307,8 @@ def semantic_compare(
     candidate, cand_inner, _ = run_scenario(
         scenario, candidate_engine, execution=cand_exec
     )
-    baseline, _, _ = run_scenario(scenario, baseline_engine)
+    if baseline is None:
+        baseline, _, _ = run_scenario(scenario, baseline_engine)
 
     base_net = cand_exec.rebuild_channel()
     verdicts = [
@@ -327,23 +331,23 @@ def semantic_compare(
 
 @dataclass
 class ThreeWayReport:
-    """One scenario judged across all three engines.
+    """One scenario judged across the scan, the kernel and columnar.
 
-    ``digest`` holds the bit-exact fast-vs-reference comparison;
-    ``semantic`` holds the columnar-vs-reference oracle suite.  The
-    matrix passes only when both do.
+    ``replay`` holds the reference run replayed round by round against
+    the scan; ``semantic`` holds the columnar-vs-reference oracle suite.
+    The matrix passes only when both do.
     """
 
     scenario: str
-    digest: DifferentialReport
+    replay: DifferentialReport
     semantic: SemanticReport
 
     @property
     def equal(self) -> bool:
-        return self.digest.equal and self.semantic.equal
+        return self.replay.equal and self.semantic.equal
 
     def explain(self) -> str:
-        return "\n".join([self.digest.explain(), self.semantic.explain()])
+        return "\n".join([self.replay.explain(), self.semantic.explain()])
 
 
 def run_three_way(
@@ -351,14 +355,16 @@ def run_three_way(
     round_ratio: float = DEFAULT_ROUND_RATIO,
     bound_factor: float = DEFAULT_BOUND_FACTOR,
 ) -> ThreeWayReport:
-    """The full engine matrix on one scenario: digest-exact pair plus
-    semantic gate."""
+    """The full matrix on one scenario: one ``reference`` run, replayed
+    against the scan and used as the semantic gate's baseline."""
+    replay = replay_against_scan(scenario)
     return ThreeWayReport(
         scenario=scenario.name,
-        digest=compare_engines(scenario),
+        replay=replay,
         semantic=semantic_compare(
             scenario,
             round_ratio=round_ratio,
             bound_factor=bound_factor,
+            baseline=replay.run,
         ),
     )

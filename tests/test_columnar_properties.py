@@ -131,18 +131,30 @@ def test_vector_resolver_matches_naive_oracle(net_tx):
 
 
 @settings(max_examples=40, deadline=None)
-@given(sparse_network_and_tx())
-def test_vector_resolver_matches_dict_resolver(net_tx):
-    """Same physics through both APIs: the dict path delivers message m
-    to exactly the nodes the vector path delivers sender-of to."""
+@given(sparse_network_and_tx(), st.data())
+def test_vector_resolver_matches_dict_resolver(net_tx, data):
+    """The dict adapter over the CSR kernel against the scan oracle and
+    the naive rule.  Fed transmissions in shuffled insertion order with
+    distinct message objects, it returns the scan's items in the scan's
+    order, the naive receiver set, each receiver the very object its
+    sender sent, and what the vector API delivers."""
     net, tx = net_tx
-    receivers, senders = net.resolve_round_vector(
-        np.array(sorted(tx), dtype=np.int64)
+    order = data.draw(st.permutations(sorted(tx)))
+    messages = {v: object() for v in order}
+    received = net.resolve_round(messages)
+    assert list(received.items()) == list(
+        net.resolve_round_scan(messages).items()
     )
-    received = net.resolve_round({v: f"m{v}" for v in sorted(tx)})
-    assert [int(v) for v in receivers] == list(received)
-    for rcv, snd in zip(receivers, senders):
-        assert received[int(rcv)] == f"m{int(snd)}"
+    expected = naive_resolve(net, tx)
+    assert set(received) == set(expected)
+    for rcv, message in received.items():
+        assert message is messages[expected[rcv]]
+    receivers, senders = net.resolve_round_vector(
+        np.array(order, dtype=np.int64)
+    )
+    assert receivers.tolist() == list(received)
+    for rcv, snd in zip(receivers.tolist(), senders.tolist()):
+        assert received[rcv] is messages[snd]
 
 
 def test_vector_resolver_degenerate_cases():

@@ -6,12 +6,11 @@ The engine selection travels a long way — ``AlgorithmParameters`` →
 and the columnar stage drivers dispatch on ``network.engine`` seen
 *through* those proxies, so a wrapper that swallowed the attribute would
 silently fall back to the reference path.  These tests pin the
-propagation for all three engine names, plus the deprecation shim that
-maps the legacy ``fast_engine`` tri-state onto ``engine``.
+propagation for every engine name, and that the retired ``"fast"`` name
+is rejected everywhere an engine is named.
 """
 
 import json
-import warnings
 
 import pytest
 
@@ -45,7 +44,7 @@ def test_engine_visible_through_every_wrapper(engine):
 @pytest.mark.parametrize("engine", ENGINES)
 def test_apply_engine_reaches_base_through_proxies(engine):
     base = grid(3, 4)
-    base.set_engine("fast" if engine != "fast" else "reference")
+    base.set_engine("columnar" if engine == "reference" else "reference")
     proxied = DynamicFaultNetwork(RecordingNetwork(base))
     AlgorithmParameters(engine=engine).apply_engine(proxied)
     assert base.engine == engine
@@ -70,36 +69,12 @@ def test_params_engine_accepts_all_names_and_rejects_unknown():
         AlgorithmParameters(engine="warp")
 
 
-def test_fast_engine_shim_maps_and_warns():
-    with pytest.warns(DeprecationWarning, match="fast_engine"):
-        params = AlgorithmParameters(fast_engine=True)
-    assert params.engine == "fast"
-    with pytest.warns(DeprecationWarning, match="fast_engine"):
-        params = AlgorithmParameters(fast_engine=False)
-    assert params.engine == "reference"
-
-
-def test_fast_engine_shim_consistent_pair_is_silent():
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        params = AlgorithmParameters(fast_engine=True, engine="fast")
-    assert params.engine == "fast"
-
-
-def test_fast_engine_shim_conflict_raises():
-    with pytest.raises(ValueError, match="conflicting engine"):
-        AlgorithmParameters(fast_engine=True, engine="reference")
-    with pytest.raises(ValueError, match="conflicting engine"):
-        AlgorithmParameters(fast_engine=False, engine="columnar")
-
-
-def test_replace_preserves_engine_without_rewarning():
-    import dataclasses
-
-    with pytest.warns(DeprecationWarning):
-        params = AlgorithmParameters(fast_engine=True)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        bumped = dataclasses.replace(params, group_spacing=4)
-    assert bumped.engine == "fast"
-    assert bumped.group_spacing == 4
+def test_retired_fast_engine_name_is_rejected():
+    with pytest.raises(ValueError, match="unknown engine"):
+        grid(3, 4).set_engine("fast")
+    with pytest.raises(ValueError, match="unknown engine"):
+        AlgorithmParameters(engine="fast")
+    data = CampaignConfig().to_json()
+    data["engine"] = "fast"
+    with pytest.raises(ValueError, match="unknown engine"):
+        CampaignConfig.from_json(data)

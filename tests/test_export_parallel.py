@@ -1,11 +1,9 @@
-"""Tests for result export (CSV/JSON) and the parallel trial runner."""
+"""Tests for result export (CSV/JSON) and the results collector."""
 
 import numpy as np
 import pytest
 
 from repro.experiments.export import read_csv, read_json, write_csv, write_json
-from repro.experiments.harness import run_trials
-from repro.experiments.parallel import CampaignError, run_trials_parallel
 
 
 class TestCsvRoundtrip:
@@ -56,70 +54,6 @@ class TestJsonRoundtrip:
         p.write_text('{"foo": 1}')
         with pytest.raises(ValueError):
             read_json(p)
-
-
-def _square_trial(seed):
-    """Module-level so it is picklable for the process pool."""
-    return {"seed": seed, "value": seed * seed}
-
-
-def _fail_on_7(seed):
-    if seed == 7:
-        raise ValueError("seed seven always fails")
-    return {"seed": seed, "value": seed * seed}
-
-
-class TestParallelRunner:
-    def test_matches_sequential(self):
-        sequential = run_trials(_square_trial, 6, base_seed=3)
-        parallel = run_trials_parallel(
-            _square_trial, 6, base_seed=3, max_workers=2
-        )
-        assert parallel == sequential
-
-    def test_single_trial_short_circuits(self):
-        assert run_trials_parallel(_square_trial, 1, base_seed=5) == [
-            {"seed": 5, "value": 25}
-        ]
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            run_trials_parallel(_square_trial, 0)
-
-    def test_failure_keeps_completed_results(self):
-        """One bad seed no longer sinks the pool: the error carries
-        every completed trial and names the failing seed."""
-        with pytest.raises(CampaignError) as info:
-            run_trials_parallel(_fail_on_7, 6, base_seed=4, max_workers=2)
-        err = info.value
-        assert err.failing_seeds == [7]
-        assert sorted(err.results) == [4, 5, 6, 8, 9]
-        assert err.results[9] == {"seed": 9, "value": 81}
-
-    def test_failure_serial_path_matches(self):
-        with pytest.raises(CampaignError) as info:
-            run_trials_parallel(_fail_on_7, 1, base_seed=7)
-        assert info.value.failing_seeds == [7]
-        assert info.value.results == {}
-
-    def test_real_simulation_parallel(self):
-        """A genuine simulation trial across processes stays deterministic."""
-        results = run_trials_parallel(
-            _broadcast_trial, 3, base_seed=0, max_workers=2
-        )
-        again = run_trials(_broadcast_trial, 3, base_seed=0)
-        assert results == again
-        assert all(r["success"] for r in results)
-
-
-def _broadcast_trial(seed):
-    from repro import MultipleMessageBroadcast, grid
-    from repro.experiments.workloads import uniform_random_placement
-
-    net = grid(3, 3)
-    packets = uniform_random_placement(net, k=4, seed=1)
-    r = MultipleMessageBroadcast(net, seed=seed).run(packets)
-    return {"success": float(r.success), "rounds": float(r.total_rounds)}
 
 
 class TestResultsCollector:

@@ -1,5 +1,5 @@
 """Tests for the reference Node-based protocols and their cross-validation
-against the fast engines."""
+against the centrally orchestrated stage drivers."""
 
 import numpy as np
 import pytest

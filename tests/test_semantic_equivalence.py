@@ -1,13 +1,14 @@
-"""The three-way engine matrix: digest-exact pair + semantic gate.
+"""The full matrix: scan replay + semantic gate.
 
-``tests/test_differential_engines.py`` pins ``fast`` against
-``reference`` digest-exactly on the 12 pinned scenarios; this file adds
-the third engine.  ``columnar`` batches its RNG draws, so it is judged
-by the :mod:`repro.testing.semantic` oracle suite instead of transcript
-digests — same delivered sets, same outcome, reception rule intact,
-vector resolver faithful on every recorded round, fault drops fully
-booked, round totals inside the Theorem-2 envelope.  Together the two
-files run the full matrix the CI smoke job samples from.
+``tests/test_differential_engines.py`` replays every round of a
+``reference`` run against the per-transmitter scan on the 12 pinned
+scenarios; this file adds the ``columnar`` engine.  It batches its RNG
+draws, so it is judged by the :mod:`repro.testing.semantic` oracle suite
+instead of transcript digests — same delivered sets, same outcome,
+reception rule intact, vector resolver faithful on every recorded round,
+fault drops fully booked, round totals inside the Theorem-2 envelope.
+Together the two files run the full matrix the CI smoke job samples
+from.
 
 The failure-reporting tests hand the oracles deliberately broken
 transcripts and check the report names the failing oracle and the first
@@ -47,7 +48,7 @@ def test_columnar_semantic_matrix(name):
 def test_three_way_report_combines_both_gates(name):
     report = run_three_way(scenario_by_name(name))
     assert report.equal, report.explain()
-    assert report.digest.equal and report.semantic.equal
+    assert report.replay.equal and report.semantic.equal
     text = report.explain()
     assert "identical" in text and "semantically equivalent" in text
 
