@@ -197,7 +197,7 @@ def build_network(topology: str, n: int, seed: int = 21):
     (10^4 -> 100x100, 10^5 -> 250x400).  The exact diameter is computed
     here — outside any timed region — so end-to-end timings measure the
     protocol, not graph analytics (the generators hint grid diameters
-    in closed form; RGGs need n BFS runs).
+    in closed form; an RGG's takes a few dozen BFS sweeps).
     """
     if topology == "grid":
         rows = int(np.sqrt(n))

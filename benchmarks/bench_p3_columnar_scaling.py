@@ -14,7 +14,9 @@ Four measurements:
    where the columnar engine must clear 10x end-to-end;
 4. a scale demonstration: n=10^5 (grid 250x400), columnar only — the
    regime the reference engine's dict loop cannot reach in benchmark
-   time at all.
+   time at all;
+5. an honest RGG at n=10^4, columnar only, with its set-up (cell-binned
+   edges plus the exact iFUB diameter) timed next to the run.
 
 Round counts are asserted equal across engines wherever two engines run
 the same workload: the columnar drivers reproduce stage outcomes
@@ -25,12 +27,13 @@ stronger deterministic fact worth pinning while it holds).
 
 Each sweep emits a results table; combined measurements land in
 ``benchmarks/results/p3_columnar_scaling.json`` (the CI perf artifact).
-Set ``P3_SMOKE=1`` to skip the two large legs (CI runs the smoke form;
+Set ``P3_SMOKE=1`` to skip the large legs (CI runs the smoke form;
 the committed JSON is from a full local run).
 """
 
 import json
 import os
+import time
 
 import pytest
 
@@ -41,6 +44,7 @@ GRID_SWEEP = [(900, 24), (2500, 24)]
 RGG_CHECK = (1000, 24)
 FLAGSHIP = (10_000, 24)  # grid 100x100, columnar vs reference
 SCALE_DEMO = (100_000, 24)  # grid 250x400, columnar only
+RGG_10K = (10_000, 24)  # honest RGG, columnar only
 
 #: The flagship acceptance: columnar must beat reference end-to-end by
 #: at least this factor on the honest grid at n=10^4.
@@ -156,5 +160,29 @@ def test_p3_scale_demo_100k(benchmark):
         "P3d: scale demonstration — grid 250x400, columnar only",
     )
     _dump_artifact("scale_demo_100k", col)
+    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
+    assert col["rounds"] > 0
+
+
+@pytest.mark.skipif(SMOKE, reason="P3_SMOKE=1 skips the large legs")
+def test_p3_rgg_10k(benchmark):
+    """An honest RGG at n=10^4, columnar only.  Its set-up (binned unit-
+    disk edges, array CSR, exact iFUB diameter) is timed and recorded
+    next to the run: an RGG this size was out of reach while set-up
+    needed the n×n distance array and one BFS per node."""
+    n, k = RGG_10K
+    t0 = time.perf_counter()
+    net = _perf.build_network("rgg", n)
+    setup_s = time.perf_counter() - t0
+    col = _perf.measure_end_to_end(n, k, "columnar", topology="rgg", net=net)
+    col.update(setup_seconds=setup_s, diameter=net.diameter)
+    emit_table(
+        "p3_rgg_10k",
+        ["n", "k", "D", "rounds", "build + diameter (s)", "columnar (s)"],
+        [[n, k, net.diameter, col["rounds"], f"{setup_s:.2f}",
+          f"{col['seconds']:.1f}"]],
+        "P3e: honest RGG at n=10^4, columnar only",
+    )
+    _dump_artifact("rgg_10k", col)
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
     assert col["rounds"] > 0

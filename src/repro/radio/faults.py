@@ -60,12 +60,15 @@ class FaultyRadioNetwork(RadioNetwork):
             raise ValueError("erasure_prob must be in [0, 1)")
         if not 0.0 <= jam_prob <= 1.0:
             raise ValueError("jam_prob must be in [0, 1]")
-        super().__init__(
-            base.edge_list(),
-            n=base.n,
-            require_connected=False,
+        # Same topology: share the base's CSR arrays instead of
+        # rebuilding them, and ask the base for its diameter.
+        indptr, indices = base.csr_adjacency()
+        self._adopt_csr(
+            indptr,
+            indices,
             name=f"faulty({base.name},e={erasure_prob})",
             engine=getattr(base, "engine", None),
+            diameter=None,
         )
         self._base = base
         self.erasure_prob = float(erasure_prob)
@@ -76,6 +79,14 @@ class FaultyRadioNetwork(RadioNetwork):
         self._fault_rng = make_rng(seed)
         self.receptions_erased = 0
         self.receptions_jammed = 0
+
+    @property
+    def diameter(self) -> int:
+        """The base's diameter (hinted, cached or computed there once):
+        erasures and jamming leave the topology unchanged."""
+        if self._diameter is None:
+            self._diameter = self._base.diameter
+        return self._diameter
 
     def set_engine(self, name: str) -> None:
         """Switch the *wrapped* network's resolver (collision semantics

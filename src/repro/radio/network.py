@@ -73,6 +73,50 @@ else:  # pragma: no cover - exercised only on numpy < 2.0
         return counts.sum(axis=-1, dtype=np.uint64)
 
 
+def _csr_from_edges(
+    edges: Iterable[Tuple[int, int]], n: Optional[int]
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Validate an edge collection and build its CSR ``(indptr, indices)``.
+
+    Both directions of every pair are packed as ``u·n + v``; sorting the
+    keys and dropping repeats leaves each row's neighbors sorted and each
+    duplicate edge collapsed.  (Sort and mask, not ``np.unique``: it is
+    about 10x slower on numpy 2.4.)
+    """
+    if not isinstance(edges, np.ndarray):
+        edges = list(edges)
+    pairs = np.asarray(edges, dtype=np.int64)
+    if pairs.size == 0:
+        pairs = pairs.reshape(0, 2)
+    if pairs.ndim != 2 or pairs.shape[1] != 2:
+        raise ValueError("edges must be (u, v) pairs")
+    u, v = pairs[:, 0], pairs[:, 1]
+    bad = (u == v) | (u < 0) | (v < 0)
+    if bad.any():
+        # the first offending edge, checked as a per-edge loop would
+        a, b = pairs[int(np.argmax(bad))].tolist()
+        if a == b:
+            raise TopologyError(f"self-loop at node {a}")
+        raise TopologyError(f"negative node id in edge ({a}, {b})")
+    max_id = int(pairs.max()) if pairs.size else -1
+    if n is None:
+        n = max_id + 1
+    if n <= 0:
+        raise TopologyError("network must have at least one node")
+    if max_id >= n:
+        raise TopologyError(f"edge references node {max_id} but n={n}")
+    n = int(n)
+    keys = np.concatenate((u * n + v, v * n + u))
+    keys.sort()
+    first = np.empty(keys.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    keys = keys[first]
+    indptr = np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) * n)
+    np.remainder(keys, n, out=keys)
+    return indptr.astype(np.int64, copy=False), keys
+
+
 class RadioNetwork:
     """An undirected multi-hop radio network on nodes ``0 .. n-1``.
 
@@ -98,9 +142,9 @@ class RadioNetwork:
     diameter_hint:
         Optional exact diameter, when the caller knows it in closed form
         (topology generators do for lines, rings, grids, tori,
-        hypercubes, …).  Seeds the :attr:`diameter` cache so that
-        columnar-scale networks skip the O(n·m) all-pairs eccentricity
-        sweep.  Must be exact — round budgets derive from it.
+        hypercubes, …).  Seeds the :attr:`diameter` cache.  Not needed
+        for speed (:attr:`diameter` costs a handful of BFS sweeps), but
+        it must be exact — round budgets derive from it.
     """
 
     def __init__(
@@ -112,51 +156,45 @@ class RadioNetwork:
         engine: Optional[str] = None,
         diameter_hint: Optional[int] = None,
     ):
-        adjacency: Dict[int, set] = {}
-        max_id = -1
-        for u, v in edges:
-            u, v = int(u), int(v)
-            if u == v:
-                raise TopologyError(f"self-loop at node {u}")
-            if u < 0 or v < 0:
-                raise TopologyError(f"negative node id in edge ({u}, {v})")
-            adjacency.setdefault(u, set()).add(v)
-            adjacency.setdefault(v, set()).add(u)
-            max_id = max(max_id, u, v)
+        indptr, indices = _csr_from_edges(edges, n)
+        self._adopt_csr(indptr, indices, name, engine, diameter_hint)
+        if require_connected and self._n > 1 and not self.is_connected():
+            raise TopologyError(f"{self._name} is disconnected")
 
-        if n is None:
-            n = max_id + 1
-        if n <= 0:
-            raise TopologyError("network must have at least one node")
-        if max_id >= n:
-            raise TopologyError(f"edge references node {max_id} but n={n}")
-
+    def _adopt_csr(
+        self,
+        indptr: np.ndarray,
+        indices: np.ndarray,
+        name: str,
+        engine: Optional[str],
+        diameter: Optional[int],
+    ) -> None:
+        """Take ``(indptr, indices)`` as this network's adjacency (shared,
+        never copied: it is immutable) and set every derived field."""
+        n = indptr.size - 1
         self._n = n
         self._name = name or f"network(n={n})"
+        self._csr = (indptr, indices)
+        self._degrees = np.diff(indptr)
+        self._num_edges = indices.size // 2
+        # Per-node views into ``indices``: the dict adapter and the scan
+        # index a list, which is cheaper than slicing the CSR per call.
+        bounds = indptr.tolist()
         self._neighbors: List[np.ndarray] = [
-            np.array(sorted(adjacency.get(v, ())), dtype=np.int64) for v in range(n)
+            indices[a:b] for a, b in zip(bounds[:-1], bounds[1:])
         ]
-        self._degrees = np.array([len(a) for a in self._neighbors], dtype=np.int64)
-        self._num_edges = int(self._degrees.sum()) // 2
         self._diameter: Optional[int] = None
-        if diameter_hint is not None:
-            if diameter_hint < 1:
-                raise TopologyError(
-                    f"diameter_hint must be >= 1, got {diameter_hint}"
-                )
-            self._diameter = int(diameter_hint)
+        if diameter is not None:
+            self.set_diameter_hint(diameter)
         self._engine = engine if engine is not None else _default_engine
         if self._engine not in ENGINES:
             raise ValueError(
                 f"unknown engine {self._engine!r}; expected one of {ENGINES}"
             )
-        # CSR adjacency (indptr, indices) for the reception kernel;
-        # memory is O(n + m) so it scales to n=10^5-10^6.  Built lazily
-        # on first use.
-        self._csr: Optional[Tuple[np.ndarray, np.ndarray]] = None
-
-        if require_connected and n > 1 and not self.is_connected():
-            raise TopologyError(f"{self._name} is disconnected")
+        # The labelled kernel's byte workspace (see _scratch) and, when
+        # its keys fit int32, an int32 copy of ``indices``.
+        self._workspace: Optional[np.ndarray] = None
+        self._indices32: Optional[np.ndarray] = None
 
     # ------------------------------------------------------------------
     # Basic accessors
@@ -218,12 +256,10 @@ class RadioNetwork:
 
     def edge_list(self) -> List[Tuple[int, int]]:
         """All edges as sorted ``(u, v)`` pairs with ``u < v``."""
-        return [
-            (u, int(v))
-            for u in range(self._n)
-            for v in self._neighbors[u]
-            if u < v
-        ]
+        indptr, indices = self._csr
+        rows = np.repeat(np.arange(self._n, dtype=np.int64), self._degrees)
+        upper = indices > rows
+        return list(zip(rows[upper].tolist(), indices[upper].tolist()))
 
     def nodes(self) -> range:
         return range(self._n)
@@ -241,32 +277,25 @@ class RadioNetwork:
     def bfs_distances(self, source: int) -> np.ndarray:
         """Hop distances from ``source``; unreachable nodes get -1.
 
-        Runs a CSR frontier expansion (one vectorized gather per BFS
-        level) rather than a per-node queue; hop distances are unique,
-        so the result is identical to a scalar BFS.  This is what keeps
-        exact-diameter computation affordable on generated topologies
-        with no closed-form hint (e.g. random geometric graphs), where
-        ``diameter`` runs n of these.
+        Runs a CSR frontier expansion (one :meth:`gather_neighbors` per
+        BFS level) rather than a per-node queue; hop distances are
+        unique, so the result is identical to a scalar BFS.  Each call
+        is one sweep of :attr:`diameter`.
         """
         dist = np.full(self._n, -1, dtype=np.int64)
         dist[source] = 0
-        indptr, indices = self.csr_adjacency()
         frontier = np.array([source], dtype=np.int64)
         level = 0
         while frontier.size:
-            counts = indptr[frontier + 1] - indptr[frontier]
-            total = int(counts.sum())
-            if total == 0:
-                break
-            cum = np.cumsum(counts)
-            pos = np.arange(total, dtype=np.int64) + np.repeat(
-                indptr[frontier] - (cum - counts), counts
-            )
-            nbrs = indices[pos]
-            fresh = nbrs[dist[nbrs] < 0]
+            nbrs = self.gather_neighbors(frontier)
+            fresh = np.sort(nbrs[dist[nbrs] < 0])
             if fresh.size == 0:
                 break
-            frontier = np.unique(fresh)
+            # dedupe the sorted fresh nodes (np.unique is ~10x slower)
+            first = np.empty(fresh.size, dtype=bool)
+            first[0] = True
+            np.not_equal(fresh[1:], fresh[:-1], out=first[1:])
+            frontier = fresh[first]
             level += 1
             dist[frontier] = level
         return dist
@@ -312,15 +341,71 @@ class RadioNetwork:
     def diameter(self) -> int:
         """Exact diameter (max eccentricity); computed once and cached.
 
-        By the paper's convention D ≥ 1 even for a single node, so that
-        phase counts and logarithms stay well defined.
+        Runs iFUB (Crescenzi, Grossi, Habib, Lanzi, Marino, TCS 2013) on
+        each connected component: a few :meth:`bfs_distances` sweeps
+        instead of one per node.  A disconnected network reports the
+        largest eccentricity within any component.  By the paper's
+        convention D ≥ 1 even for a single node, so that phase counts
+        and logarithms stay well defined.
         """
         if self._diameter is None:
-            ecc = 0
-            for v in range(self._n):
-                ecc = max(ecc, self.eccentricity(v))
-            self._diameter = max(1, ecc)
+            best = 0
+            seen = self._degrees == 0  # isolated nodes: eccentricity 0
+            while not seen.all():
+                dist = self.bfs_distances(int(np.argmin(seen)))
+                component = dist >= 0
+                seen |= component
+                # a component of s nodes has eccentricities <= s - 1
+                if int(np.count_nonzero(component)) - 1 > best:
+                    best = max(best, self._ifub(dist))
+            self._diameter = max(1, best)
         return self._diameter
+
+    def diameter_scan(self) -> int:
+        """:attr:`diameter` by the all-sources sweep, one BFS per node.
+
+        O(n·m).  No code path runs it: it is the oracle that iFUB and
+        the generators' closed-form hints are checked against, as
+        :meth:`resolve_round_scan` is for the reception kernel.
+        """
+        return max(1, max(self.eccentricity(v) for v in range(self._n)))
+
+    def _ifub(self, dist: np.ndarray) -> int:
+        """The largest eccentricity in the component that ``dist`` (a
+        sweep from any of its nodes) reaches.
+
+        The 4-sweep start: twice, sweep from the farthest node ``a`` of
+        the last sweep, then from the middle of that longest path.  The
+        eccentricities seen are a lower bound ``lb``; ``u`` is the middle
+        of smaller eccentricity ``e``.  Every pair of nodes within
+        ``i - 1`` hops of ``u`` is at most ``2(i - 1)`` apart, so after
+        sweeping from every node of the fringes ``e, e-1, …, i`` of
+        ``u`` the answer is ``lb`` as soon as ``lb >= 2(i - 1)``.
+        """
+        lb = int(dist.max())
+        middles = []
+        for _ in range(2):
+            from_a = self.bfs_distances(int(np.argmax(dist)))
+            far = int(np.argmax(from_a))
+            dist = self.bfs_distances(self._midpoint(from_a, far))
+            lb = max(lb, int(from_a[far]), int(dist.max()))
+            middles.append(dist)
+        dist = min(middles, key=lambda d: int(d.max()))
+        level = int(dist.max())
+        while lb < 2 * level:
+            for x in np.flatnonzero(dist == level):
+                lb = max(lb, self.eccentricity(int(x)))
+            level -= 1
+        return lb
+
+    def _midpoint(self, dist: np.ndarray, end: int) -> int:
+        """The node halfway along a shortest path from the source of the
+        sweep ``dist`` to ``end`` (walked back from ``end``)."""
+        v = end
+        for _ in range(int(dist[end]) - int(dist[end]) // 2):
+            nbrs = self._neighbors[v]
+            v = int(nbrs[np.argmax(dist[nbrs] == dist[v] - 1)])
+        return v
 
     # ------------------------------------------------------------------
     # The reception rule
@@ -418,20 +503,12 @@ class RadioNetwork:
     # ------------------------------------------------------------------
 
     def csr_adjacency(self) -> Tuple[np.ndarray, np.ndarray]:
-        """CSR adjacency ``(indptr, indices)`` (built once, then cached).
+        """CSR adjacency ``(indptr, indices)``, built by the constructor.
 
         ``indices[indptr[v]:indptr[v+1]]`` is the sorted neighbor list of
         ``v``.  Memory is O(n + m), so this representation is safe at
         columnar scale (n=10^5-10^6).  Do not mutate.
         """
-        if self._csr is None:
-            indptr = np.zeros(self._n + 1, dtype=np.int64)
-            np.cumsum(self._degrees, out=indptr[1:])
-            if self._num_edges:
-                indices = np.concatenate(self._neighbors)
-            else:
-                indices = np.zeros(0, dtype=np.int64)
-            self._csr = (indptr, indices)
         return self._csr
 
     def gather_neighbors(self, ids: np.ndarray) -> np.ndarray:
@@ -512,12 +589,7 @@ class RadioNetwork:
         rounds = np.asarray(rounds, dtype=np.int64)
         if rounds.shape != tx_ids.shape:
             raise ValueError("rounds must label every transmitter")
-        all_nbrs = self.gather_neighbors(tx_ids)
-        if all_nbrs.size == 0:
-            return (all_nbrs,) * 3
-        return self._resolve_labelled(
-            tx_ids, rounds, self._degrees[tx_ids], all_nbrs
-        )
+        return self._resolve_labelled(tx_ids, rounds)
 
     def _resolve_one_round(
         self, tx_ids: np.ndarray
@@ -538,11 +610,7 @@ class RadioNetwork:
         return receivers, sender_of[receivers]
 
     def _resolve_labelled(
-        self,
-        tx_ids: np.ndarray,
-        rounds: np.ndarray,
-        counts: np.ndarray,
-        all_nbrs: np.ndarray,
+        self, tx_ids: np.ndarray, rounds: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The labelled half of :meth:`resolve_round_vector`.
 
@@ -553,34 +621,97 @@ class RadioNetwork:
         reception.  Two transmitting neighbors collide, and the sentinel
         joins any run of a transmitting node, so half-duplex needs no
         separate mask.
+
+        The keys are built, sorted and decoded in the network's
+        workspace (:meth:`_scratch`), as int32 whenever every key fits
+        (an int32 sort takes half the time).  Per call, only each
+        incidence's entry, an arange of their count and the outputs are
+        allocated.
         """
         n = self._n
         n_tx = tx_ids.size
+        counts = self._degrees[tx_ids]
+        size = int(counts.sum())
+        if size == 0:
+            empty = np.zeros(0, dtype=np.int64)
+            return empty, empty, empty
         if rounds.min() < 0:
             raise ValueError("round labels must be non-negative")
         span = n_tx + 1
-        if (int(rounds.max()) + 1) * n * span >= 2**63:
+        bound = (int(rounds.max()) + 1) * n * span
+        if bound >= 2**63:
             raise ValueError("too many labelled transmissions for int64 keys")
-        keys = np.empty(all_nbrs.size + n_tx, dtype=np.int64)
-        head = keys[:all_nbrs.size]
-        np.multiply(all_nbrs, span, out=head)
-        head += np.repeat(
-            rounds * (n * span) + np.arange(n_tx, dtype=np.int64), counts
-        )
-        tail = keys[all_nbrs.size:]
-        np.multiply(rounds * n + tx_ids, span, out=tail)
-        tail += n_tx
+        indptr, indices = self._csr
+        if max(bound, indices.size) < 2**31:
+            kt = np.int32
+            if self._indices32 is None:
+                self._indices32 = indices.astype(np.int32)
+            indices = self._indices32
+        else:
+            kt = np.int64
+        total = size + n_tx
+        # ``first`` holds positions, then keys, then entries; ``second``
+        # neighbors, then entry bases, then node keys
+        first, second, edge, heard = self._scratch(total, kt)
+        # owner[j]: the entry whose neighbor list incidence j comes from;
+        # its position in ``indices`` is j + offset[owner[j]]
+        owner = np.repeat(np.arange(n_tx, dtype=kt), counts)
+        offset = (indptr[tx_ids] - (np.cumsum(counts) - counts)).astype(kt)
+        pos, neighbor = first[:size], second[:size]
+        # mode="clip": under the default "raise", take buffers ``out``
+        np.take(offset, owner, out=pos, mode="clip")
+        pos += np.arange(size, dtype=kt)
+        np.take(indices, pos, out=neighbor, mode="clip")
+        keys = first
+        np.multiply(neighbor, span, out=keys[:size])
+        base = (rounds * (n * span) + np.arange(n_tx)).astype(kt)
+        spare = second[:size]
+        np.take(base, owner, out=spare, mode="clip")
+        keys[:size] += spare
+        np.multiply(rounds * n + tx_ids, span, out=keys[size:])
+        keys[size:] += n_tx
         keys.sort()
-        node_key = keys // span
-        same = node_key[1:] == node_key[:-1]
-        lone = np.ones(keys.size, dtype=bool)
-        lone[1:] = ~same
-        lone[:-1] &= ~same
-        node_key = node_key[lone]
-        entry = keys[lone] - node_key * span
-        heard = entry != n_tx
-        labels, receivers = np.divmod(node_key[heard], n)
-        return receivers, entry[heard], labels
+        node_key = second
+        np.floor_divide(keys, span, out=node_key)
+        # edge[i]: a (round, node) run starts at key i (and edge[-1]: one
+        # ends after the last key); a key is alone in its run iff runs
+        # start both at it and right after it
+        edge[0] = edge[-1] = True
+        np.not_equal(node_key[1:], node_key[:-1], out=edge[1:-1])
+        np.logical_and(edge[:-1], edge[1:], out=heard)
+        node_key *= span  # now (round·n + node)·span
+        keys -= node_key  # now the entries
+        np.not_equal(keys, n_tx, out=edge[:-1])
+        heard &= edge[:-1]
+        at = np.flatnonzero(heard)
+        entries = keys.take(at).astype(np.int64, copy=False)
+        labels = rounds.take(entries)
+        receivers = node_key.take(at) // span - labels * n
+        return receivers, entries, labels
+
+    def _scratch(self, size: int, dtype: type) -> Tuple[np.ndarray, ...]:
+        """Buffers for :meth:`_resolve_labelled`: two ``dtype`` arrays of
+        ``size`` and two bool arrays (of ``size + 1`` and ``size``), all
+        carved from one byte workspace.
+
+        The workspace is reused across calls.  Fresh per-call
+        temporaries of this size would sit above glibc's mmap threshold
+        (128 KiB) unless an earlier large free had raised it, so every
+        call would map, page-fault and unmap them again.  When a call
+        needs more, the workspace at least doubles: growing to each new
+        largest call instead took 21 steps per ``rgg-n1k-k64`` execution
+        and cost more page faults than the per-call temporaries it
+        replaces.  Capacity that no call uses is never written, so it
+        is never resident.
+        """
+        width = 2 * size * np.dtype(dtype).itemsize
+        nbytes = width + 2 * size + 1
+        if self._workspace is None or self._workspace.size < nbytes:
+            grown = 0 if self._workspace is None else 2 * self._workspace.size
+            self._workspace = np.empty(max(nbytes, grown), dtype=np.uint8)
+        ints = self._workspace[:width].view(dtype)
+        flags = self._workspace[width:nbytes].view(bool)
+        return ints[:size], ints[size:], flags[:size + 1], flags[size + 1:]
 
     # ------------------------------------------------------------------
     # Convenience constructors

@@ -164,16 +164,11 @@ def random_geometric(
 
     for _ in range(max_attempts):
         points = rng.random((n, 2))
-        # pairwise distances via broadcasting; n is laptop-scale here
-        deltas = points[:, None, :] - points[None, :, :]
-        dist2 = np.einsum("ijk,ijk->ij", deltas, deltas)
-        close = dist2 <= radius * radius
-        iu = np.triu_indices(n, k=1)
-        mask = close[iu]
-        edges = list(zip(iu[0][mask].tolist(), iu[1][mask].tolist()))
         try:
             return RadioNetwork(
-                edges, n=n, name=f"rgg(n={n},r={radius:.3f})"
+                _disk_edges(points, radius),
+                n=n,
+                name=f"rgg(n={n},r={radius:.3f})",
             )
         except TopologyError:
             continue
@@ -183,15 +178,74 @@ def random_geometric(
     )
 
 
-def _disk_edges(points: np.ndarray, radius: float) -> List[Tuple[int, int]]:
-    """Unit-disk edge list for a point cloud (sorted, u < v)."""
+#: Cell side over radius in :func:`_disk_edges`.  Above 1, so that the
+#: rounding of cell coordinates cannot split a pair within ``radius``
+#: across non-adjacent cells.
+_CELL_MARGIN = 1.0 + 1e-6
+
+#: At most about this many cells per axis (wider cells beyond), so that
+#: packed cell ids fit in int64 and coordinates stay exact enough for
+#: the margin above.
+_MAX_CELLS = 1 << 20
+
+
+def _disk_edges(points: np.ndarray, radius: float) -> np.ndarray:
+    """Unit-disk edges of a point cloud: an ``(m, 2)`` int64 array of
+    pairs ``u < v`` in ascending order, joining the points whose squared
+    distance ``dx*dx + dy*dy`` is at most ``radius * radius``.
+
+    Points are binned into cells of side at least ``radius``, so only
+    pairs in the same or adjacent cells are candidates: O(n·Δ) time and
+    memory instead of the n×n distance matrix.  The distance test is the
+    float expression that matrix evaluated, so the edge set is identical.
+    """
     n = points.shape[0]
-    deltas = points[:, None, :] - points[None, :, :]
-    dist2 = np.einsum("ijk,ijk->ij", deltas, deltas)
-    close = dist2 <= radius * radius
-    iu = np.triu_indices(n, k=1)
-    mask = close[iu]
-    return list(zip(iu[0][mask].tolist(), iu[1][mask].tolist()))
+    if n == 0:
+        return np.zeros((0, 2), dtype=np.int64)
+    lo = points.min(axis=0)
+    side = np.maximum(
+        (points.max(axis=0) - lo) / _MAX_CELLS, abs(radius) * _CELL_MARGIN
+    )
+    side[side == 0] = 1.0  # radius 0 and all points level on this axis
+    coord = ((points - lo) / side).astype(np.int64)
+    cells = coord.max(axis=0) + 1
+    cell = coord[:, 0] * cells[1] + coord[:, 1]
+    order = np.argsort(cell, kind="stable")
+    cell, coord, sorted_points = cell[order], coord[order], points[order]
+    here = np.arange(n, dtype=np.int64)
+    end = np.searchsorted(cell, cell, side="right")
+    # candidates (i, j), positions in the sorted order: j after i in its
+    # own cell, or j anywhere in one of the four cells ahead of i's
+    firsts = [here + 1]
+    lasts = [end]
+    for dx, dy in ((0, 1), (1, -1), (1, 0), (1, 1)):
+        cx, cy = coord[:, 0] + dx, coord[:, 1] + dy
+        inside = (cx < cells[0]) & (cy >= 0) & (cy < cells[1])
+        target = cx * cells[1] + cy
+        firsts.append(np.searchsorted(cell, target, side="left"))
+        lasts.append(
+            np.where(inside, np.searchsorted(cell, target, side="right"), 0)
+        )
+    first = np.concatenate(firsts)
+    counts = np.maximum(np.concatenate(lasts) - first, 0)
+    total = int(counts.sum())
+    i = np.repeat(np.tile(here, len(firsts)), counts)
+    j = np.arange(total, dtype=np.int64) + np.repeat(
+        first - (np.cumsum(counts) - counts), counts
+    )
+    delta = sorted_points[i] - sorted_points[j]
+    close = (
+        delta[:, 0] * delta[:, 0] + delta[:, 1] * delta[:, 1]
+        <= radius * radius
+    )
+    u, v = order[i[close]], order[j[close]]
+    pairs = np.stack((np.minimum(u, v), np.maximum(u, v)), axis=1)
+    return pairs[np.argsort(pairs[:, 0] * n + pairs[:, 1])]
+
+
+def _edge_tuples(pairs: np.ndarray) -> List[Tuple[int, int]]:
+    """An ``(m, 2)`` pair array as a list of int tuples."""
+    return list(zip(pairs[:, 0].tolist(), pairs[:, 1].tolist()))
 
 
 def mobile_rgg(
@@ -236,7 +290,7 @@ def mobile_rgg(
         except TopologyError:
             continue
         points = candidate
-        edges0 = candidate_edges
+        edges0 = _edge_tuples(candidate_edges)
         break
     if points is None:
         raise TopologyError(
@@ -247,7 +301,7 @@ def mobile_rgg(
     edge_sets: List[List[Tuple[int, int]]] = [edges0]
     for _ in range(1, epochs):
         points = np.clip(points + rng.normal(0.0, step, size=(n, 2)), 0.0, 1.0)
-        edge_sets.append(_disk_edges(points, radius))
+        edge_sets.append(_edge_tuples(_disk_edges(points, radius)))
 
     footprint = sorted(set().union(*[set(es) for es in edge_sets]))
     network = RadioNetwork(

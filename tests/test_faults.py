@@ -6,7 +6,8 @@ import pytest
 from repro import AlgorithmParameters, MultipleMessageBroadcast
 from repro.experiments.workloads import uniform_random_placement
 from repro.radio.faults import FaultyRadioNetwork
-from repro.topology import grid, line, star
+from repro.radio.network import RadioNetwork
+from repro.topology import grid, line, random_geometric, star
 
 
 class TestConstruction:
@@ -17,6 +18,29 @@ class TestConstruction:
         assert faulty.diameter == base.diameter
         assert faulty.max_degree == base.max_degree
         assert faulty.edge_list() == base.edge_list()
+
+    def test_diameter_and_csr_come_from_the_base(self, monkeypatch):
+        """The wrapper shares the base's CSR arrays and answers
+        ``diameter`` from the base's hint, with no BFS sweep."""
+        base = grid(30, 30)
+
+        def no_sweeps(self, source):
+            raise AssertionError("bfs_distances called")
+
+        monkeypatch.setattr(RadioNetwork, "bfs_distances", no_sweeps)
+        faulty = FaultyRadioNetwork(base, erasure_prob=0.1, seed=0)
+        assert faulty.diameter == 58
+        assert all(
+            a is b
+            for a, b in zip(faulty.csr_adjacency(), base.csr_adjacency())
+        )
+
+    def test_unhinted_base_computes_its_diameter_once(self):
+        base = random_geometric(80, seed=4)
+        faulty = FaultyRadioNetwork(base, erasure_prob=0.2, seed=1)
+        assert base._diameter is None
+        assert faulty.diameter == base.diameter_scan()
+        assert base._diameter == faulty.diameter
 
     def test_validation(self):
         base = line(3)

@@ -1,7 +1,10 @@
 """Unit tests for the topology generators."""
 
+import hashlib
 import math
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from repro.radio.errors import TopologyError
@@ -12,11 +15,32 @@ from repro.topology import (
     clique,
     grid,
     line,
+    mobile_rgg,
     random_connected_gnp,
     random_geometric,
     ring,
     star,
 )
+from repro.topology.generators import _disk_edges
+
+
+def dense_disk_edges(points, radius):
+    """The n×n oracle for :func:`_disk_edges`: every pair's squared
+    distance from one broadcast difference array, upper triangle in
+    row-major order."""
+    n = points.shape[0]
+    deltas = points[:, None, :] - points[None, :, :]
+    dist2 = np.einsum("ijk,ijk->ij", deltas, deltas)
+    close = dist2 <= radius * radius
+    iu = np.triu_indices(n, k=1)
+    mask = close[iu]
+    return list(zip(iu[0][mask].tolist(), iu[1][mask].tolist()))
+
+
+def edge_digest(edges):
+    return hashlib.sha256(
+        repr([(int(u), int(v)) for u, v in edges]).encode()
+    ).hexdigest()[:16]
 
 
 class TestLine:
@@ -167,6 +191,108 @@ class TestRandomGeometric:
     def test_impossible_radius_raises(self):
         with pytest.raises(TopologyError, match="connected"):
             random_geometric(30, radius=1e-6, seed=0, max_attempts=3)
+
+
+    # (n, radius, seed) -> (edges, edge-list digest, diameter), recorded
+    # from the n×n generator these replaced
+    PINNED = {
+        (60, None, 0): (161, "c5fcf4e8468e4d1c", 11),
+        (60, None, 7): (155, "b6ce1400b03aacf4", 13),
+        (300, None, 3): (1240, "ed776ecb4db63441", 20),
+        (200, 0.15, 11): (1185, "b1c073114e080f29", 11),
+        (1000, None, 1): (5512, "15268d2612706ca6", 30),
+    }
+
+    @pytest.mark.parametrize("key", sorted(PINNED, key=str))
+    def test_edge_lists_pinned(self, key):
+        n, radius, seed = key
+        net = random_geometric(n, radius=radius, seed=seed)
+        edges = net.edge_list()
+        assert (len(edges), edge_digest(edges), net.diameter) == self.PINNED[key]
+
+    def test_memory_is_linear(self):
+        """No n×n array: the dense generator needs 400 MB here."""
+        tracemalloc.start()
+        try:
+            random_geometric(5000, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 50e6
+
+
+class TestDiskEdges:
+    @staticmethod
+    def check(points, radius):
+        got = _disk_edges(points, radius)
+        assert got.dtype == np.int64 and got.shape[1:] == (2,)
+        assert list(map(tuple, got.tolist())) == dense_disk_edges(
+            points, radius
+        )
+
+    def test_random_clouds(self):
+        rng = np.random.default_rng(2024)
+        for _ in range(60):
+            n = int(rng.integers(1, 400))
+            radius = float(
+                rng.choice([1e-9, 0.01, 0.03, 0.1, 0.3, 0.7, 1.0, 1.5])
+            ) * float(rng.uniform(0.5, 1.5))
+            self.check(rng.random((n, 2)), radius)
+
+    def test_degenerate_clouds(self):
+        rng = np.random.default_rng(5)
+        self.check(np.zeros((0, 2)), 0.1)
+        self.check(np.array([[0.3, 0.4]]), 0.1)
+        self.check(rng.random((50, 2)), 1.0)  # one cell: a clique
+        self.check(rng.random((50, 2)), 2.0)
+        self.check(rng.random((50, 2)), -0.2)  # the sign is squared away
+        twins = np.repeat(rng.random((20, 2)), 3, axis=0)  # duplicates
+        self.check(twins, 0.0)
+        self.check(twins, 1e-12)
+        self.check(twins, 0.05)
+        line = np.column_stack([rng.random(80), np.full(80, 0.5)])
+        self.check(line, 0.02)  # no extent along y
+
+    def test_points_on_cell_borders(self):
+        # lattices whose spacing is the radius, so pairs sit exactly at
+        # the radius and on cell borders, also nudged by one ulp
+        for k in (3, 7, 10, 16):
+            r = 1.0 / k
+            axis = np.arange(k + 1) * r
+            xs, ys = np.meshgrid(axis, axis)
+            lattice = np.column_stack([xs.ravel(), ys.ravel()])
+            for pts in (lattice, np.nextafter(lattice, 2.0),
+                        np.nextafter(lattice, -1.0)):
+                self.check(pts, r)
+                self.check(pts, r * math.sqrt(2))
+
+    def test_mobile_rgg_pinned(self):
+        # (n, epochs, seed, step) -> (footprint edges and digest, epoch
+        # digests, epoch sizes, diameter), recorded from the n×n version
+        pinned = {
+            (16, 4, 3, 0.08): (47, "b3085d65972c3925", [
+                "de26e925beb84736", "234c46234bf8c98a",
+                "35e26a5672aae981", "5515f401ef7b5349"], [38, 30, 29, 26], 4),
+            (12, 3, 7, 0.05): (18, "3285306fbee90ad1", [
+                "9ce22c3cc9193aa8", "cf8ff30b266e0e2a",
+                "57d21d1e76d65fd0"], [15, 12, 13], 6),
+            (40, 3, 5, 0.05): (140, "468233772e06f7b6", [
+                "634200412ec976f5", "33c7ec456e6516e3",
+                "666360c7e7d52018"], [105, 100, 104], 6),
+        }
+        for (n, epochs, seed, step), want in pinned.items():
+            net, sets = mobile_rgg(n, epochs=epochs, step=step, seed=seed)
+            assert all(
+                type(u) is int and type(v) is int for es in sets for u, v in es
+            )
+            got = (
+                net.num_edges,
+                edge_digest(net.edge_list()),
+                [edge_digest(es) for es in sets],
+                [len(es) for es in sets],
+                net.diameter,
+            )
+            assert got == want
 
 
 class TestRandomGnp:
