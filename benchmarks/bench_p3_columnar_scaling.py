@@ -19,11 +19,10 @@ Four measurements:
    edges plus the exact iFUB diameter) timed next to the run.
 
 Round counts are asserted equal across engines wherever two engines run
-the same workload: the columnar drivers reproduce stage outcomes
-round-for-round on honest networks even though their RNG *draw order*
-differs (the semantic-equivalence suite in ``repro.testing.semantic``
-is the general gate; equal totals on these pinned workloads are a
-stronger deterministic fact worth pinning while it holds).
+the same workload: both engines draw their randomness in one canonical
+order, so they give the identical run (``tests/test_engine_equivalence.py``
+holds them to equal digests); the reference engine just keeps every
+stage on its dict loop.
 
 Each sweep emits a results table; combined measurements land in
 ``benchmarks/results/p3_columnar_scaling.json`` (the CI perf artifact).

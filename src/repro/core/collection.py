@@ -406,32 +406,21 @@ def run_grab(
     epoch_results: List[GatherEpochResult] = []
 
     window_factor = max(1, int(params.ospg_window_factor))
-    columnar = getattr(network, "engine", None) == "columnar"
 
     def launch_and_run(window: int, copies: int) -> GatherEpochResult:
         nonlocal rounds
-        launches: List[Tuple[int, int, int]] = []
-        if columnar and len(unacked) > 1:
-            # One batched draw for every (packet, copy) launch round.
-            # numpy fills the matrix row by row, so the values match the
-            # per-pid draws below; batching just removes the Python loop
-            # from the per-procedure hot path.
-            items = list(unacked.items())
-            draws = rng.integers(
-                1, window_factor * window + 1, size=(len(items), copies)
-            )
-            launches = [
-                (pid, origin, int(r))
-                for (pid, origin), row in zip(items, draws)
-                for r in row
-            ]
-        else:
-            for pid, origin in unacked.items():
-                draws = rng.integers(
-                    1, window_factor * window + 1, size=copies
-                )
-                for r in draws:
-                    launches.append((pid, origin, int(r)))
+        # One draw for every (packet, copy) launch round, packet by
+        # packet: numpy draws bounded integers element by element, so
+        # this is the stream of one ``size=copies`` call per packet.
+        items = list(unacked.items())
+        draws = rng.integers(
+            1, window_factor * window + 1, size=(len(items), copies)
+        )
+        launches = [
+            (pid, origin, r)
+            for (pid, origin), row in zip(items, draws.tolist())
+            for r in row
+        ]
         result = run_gather_procedure(
             network,
             parent,

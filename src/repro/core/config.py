@@ -118,17 +118,14 @@ class AlgorithmParameters:
         :data:`repro.radio.network.ENGINES` (``"reference"``,
         ``"columnar"``) or ``None`` (default) to inherit whatever engine
         the network already uses (the process default, see
-        :func:`set_default_engine`).  ``reference`` drives every stage
-        slot by slot through the reception kernel, and
+        :func:`set_default_engine`, ``"columnar"``).  Both engines
+        draw their randomness in one canonical order and give the
+        identical run.  ``columnar`` lets each stage take its direct
+        (array) path on a bare network; ``reference`` keeps every stage
+        on its dict loop, slot by slot through the reception kernel, and
         :mod:`repro.testing.differential` replays its rounds against the
-        per-transmitter scan.  ``columnar`` runs the same protocol
-        through whole-network vectorized stage drivers whose batched RNG
-        draws legitimately reorder the random stream; it is gated by the
-        semantic-equivalence oracles of :mod:`repro.testing.semantic`
-        (same delivered sets, same collision counts, same drop
-        accounting, same round budgets) rather than by transcript
-        digests.  Threaded into the network by every entry point that
-        accepts parameters
+        per-transmitter scan.  Threaded into the network by every
+        entry point that accepts parameters
         (:class:`~repro.core.multibroadcast.MultipleMessageBroadcast`,
         the supervised/chaos runners, the baselines).
     """

@@ -185,10 +185,11 @@ def run_dissemination_stage(
             failed_receivers=[],
         )
 
-    # Pre-bucket nodes by BFS layer.
-    layers: List[List[int]] = [[] for _ in range(ecc + 1)]
-    for v in range(n):
-        layers[int(dist[v])].append(v)
+    # Pre-bucket nodes by BFS layer, ascending ids within a layer.
+    by_layer = np.argsort(dist, kind="stable")
+    layers: List[np.ndarray] = np.split(
+        by_layer, np.searchsorted(dist[by_layer], np.arange(1, ecc + 1))
+    )
 
     # Precomputed subset-XOR tables: entry ``mask`` of table ``j`` is the
     # XOR of the group-``j`` payloads selected by ``mask``.  Groups are
@@ -324,8 +325,8 @@ def run_dissemination_stage(
 
         This is the single implementation of the Stage-4 receiver
         pipeline (layer acceptance → authentication → integrity →
-        decoder), shared verbatim by the reference slot loop and the
-        columnar fallback path, so the two can never drift apart.
+        decoder).  The dict loop runs it on every round; the direct
+        path needs none of it (see :func:`absorb_phase`).
         """
         nonlocal corrupt_discarded, byz_discarded, poisoned_attributed
         nonlocal innovative_rx
@@ -485,7 +486,7 @@ def run_dissemination_stage(
         """Draw one direct-mode phase, a Decay epoch at a time.
 
         Per epoch: the per-group coin matrices (one
-        :func:`decay_transmit_matrix` call each, as in the fallback),
+        :func:`decay_transmit_matrix` call each, as in the dict loop),
         then one ``rng.integers`` call for all of the epoch's subset
         masks, or packet picks when uncoded, in (slot, group, sender)
         order.  Returns the slot, group, sender and value of every
@@ -588,399 +589,125 @@ def run_dissemination_stage(
         )
         has_group[receivers[done], rx_group[done]] = True
 
-    def run_phases_columnar() -> int:
-        """Columnar phase loop: whole-layer Decay schedules per epoch.
-
-        Per active group the epoch's transmit decisions come from one
-        :func:`decay_transmit_matrix` draw over the whole sender layer,
-        instead of per-sender Python work.
-
-        On a vector-capable network (no trace, no blacklist) the FORWARD
-        phase is the unit of resolution and the Decay epoch the unit of
-        drawing.  A node joins a transmitter set only in the phase after
-        it decodes (Lemma 3) and the phase schedule is fixed (Lemma 7),
-        so no transmit decision of a phase depends on that phase's
-        receptions.  After an epoch's coin matrices, one ``rng.integers``
-        call draws all of the epoch's subset masks (or packet picks) in
-        (slot, group, sender) order, and :func:`absorb_phase` resolves
-        and absorbs the whole phase at its end.  numpy draws bounded
-        integers element by element and PCG64 keeps its spare 32-bit
-        half-word in the generator state, so that one call consumes
-        exactly the stream of the per-slot calls it replaces: this path
-        is RNG-identical to the fallback.  Fault wrappers, traces, and
-        blacklists fall back to sealed wire tuples resolved slot by slot
-        through ``network.resolve_round`` and verified by the shared
-        :func:`process_received` pipeline; their masks keep one draw per
-        slot and group, because a fault layer may share the generator.
-
-        Returns the rounds consumed (``total_phases * phase_length``).
-        """
-        nonlocal coded_tx, plain_tx
-        direct = (
-            RadioNetwork.vector_capable(network)
-            and trace is None
-            and not blacklist
-        )
-        n_decay = epochs * slots
-        layer_arrays = [np.array(lay, dtype=np.int64) for lay in layers]
-        if direct:
-            pivots = np.zeros((in_flight * n, width), dtype=np.uint64)
-            plain_bits = np.zeros(in_flight * n, dtype=np.uint64)
-        rounds = 0
-
-        for phase in range(1, total_phases + 1):
-            root_group = -1
-            fsets: List[Tuple[int, int, np.ndarray, int]] = []
-            for j in range(g):
-                d = group_layer(j, phase)
-                if not d:
-                    continue
-                if d == 1:
-                    root_group = j
-                    continue
-                lay = layer_arrays[d - 1]
-                sel = has_group[lay, j]
-                if mis_decoded:
-                    sel = sel & np.array(
-                        [(int(v), j) not in mis_decoded for v in lay]
-                    )
-                senders = lay[sel]
-                if senders.size:
-                    fsets.append((j, d, senders, len(groups[j])))
-
-            if direct:
-                sent = draw_phase_direct(root_group, fsets)
-                if sent is not None:
-                    absorb_phase(
-                        phase, root_group, *sent, pivots, plain_bits
-                    )
-                last, rest = divmod(phase - ecc, spacing)
-                if not rest and last >= 0:
-                    block = slice((last % in_flight) * n,
-                                  (last % in_flight + 1) * n)
-                    pivots[block] = 0
-                    plain_bits[block] = 0
-                rounds += phase_length
-                continue
-
-            gs_root = len(groups[root_group]) if root_group >= 0 else 0
-            touched: Set[Tuple[int, int]] = set()
-            epoch_coins: Dict[int, np.ndarray] = {}
-            for slot in range(phase_length):
-                in_decay = slot < n_decay
-                epoch_slot = slot % slots
-                if in_decay and epoch_slot == 0:
-                    for j, d, senders, gs in fsets:
-                        epoch_coins[j] = decay_transmit_matrix(
-                            senders.size, rng, slots
-                        )
-
-                root_tx = root_group >= 0 and slot < gs_root * reps
-                tx_entries: List[Tuple[int, int, np.ndarray, np.ndarray, int]] = []
-                if in_decay:
-                    for j, d, senders, gs in fsets:
-                        hot = senders[epoch_coins[j][epoch_slot]]
-                        if hot.size == 0:
-                            continue
-                        if params.coding_enabled:
-                            vals = rng.integers(0, 1 << gs, size=hot.size)
-                            coded_tx += hot.size
-                        else:
-                            vals = rng.integers(0, gs, size=hot.size)
-                            plain_tx += hot.size
-                        tx_entries.append((j, d, hot, vals, gs))
-                if root_tx:
-                    plain_tx += 1
-
-                if not root_tx and not tx_entries:
-                    continue
-
-                transmissions: Dict[int, object] = {}
-                if root_tx:
-                    idx = slot % gs_root
-                    pkt = groups[root_group][idx]
-                    transmissions[root] = seal_plain(
-                        root, root_group, idx, pkt.payload, gs_root
-                    )
-                for j, d, hot, vals, gs in tx_entries:
-                    payloads = group_payloads[j]
-                    if params.coding_enabled:
-                        for s_, m_ in zip(hot.tolist(), vals.tolist()):
-                            transmissions[s_] = seal_coded(
-                                s_, j, m_, subset_xor(j, m_), gs
-                            )
-                    else:
-                        for s_, pick in zip(hot.tolist(), vals.tolist()):
-                            transmissions[s_] = seal_plain(
-                                s_, j, pick, payloads[pick], gs
-                            )
-                received = network.resolve_round(transmissions)
-                if trace is not None:
-                    trace.observe(
-                        round_offset + rounds + slot,
-                        transmissions,
-                        received,
-                    )
-                process_received(received, phase, touched)
-
-            rounds += phase_length
-            for v, j in touched:
-                try_complete(v, j)
-        return rounds
-
-    if getattr(network, "engine", None) == "columnar":
-        rounds = run_phases_columnar()
-        failed = [
-            (v, j)
-            for v in range(n)
-            for j in range(g)
-            if not has_group[v, j]
-        ]
-        quarantined = sum(len(d.quarantined) for d in decoders.values())
-        return DisseminationResult(
-            rounds=rounds,
-            num_groups=g,
-            group_width=width,
-            phases=total_phases,
-            phase_length=phase_length,
-            has_group=has_group,
-            complete=not failed and not mis_decoded,
-            failed_receivers=failed,
-            coded_transmissions=coded_tx,
-            innovative_receptions=innovative_rx,
-            plain_transmissions=plain_tx,
-            corrupted_discarded=corrupt_discarded,
-            quarantined_rows=quarantined,
-            mis_decodes=len(mis_decoded),
-            mis_decoded_receivers=sorted(mis_decoded),
-            byzantine_rx_discarded=byz_discarded,
-            poisoned_rows_attributed=poisoned_attributed,
-            flagged_senders=flagged,
-        )
+    # On a vector-capable network (no trace, no blacklist) the FORWARD
+    # phase is the unit of resolution and the Decay epoch the unit of
+    # drawing: see draw_phase_direct and absorb_phase.  A node joins a
+    # transmitter set only in the phase after it decodes (Lemma 3) and
+    # the phase schedule is fixed (Lemma 7), so no transmit decision of
+    # a phase depends on that phase's receptions.  Every other network
+    # gets sealed wire tuples resolved slot by slot through
+    # ``network.resolve_round`` and verified by process_received; there
+    # the masks keep one draw per slot and group, because a fault layer
+    # may share the generator.  Both paths draw each epoch's coin
+    # matrices (one per group) first, then its masks slot by slot.
+    direct = (
+        RadioNetwork.vector_capable(network)
+        and trace is None
+        and not blacklist
+    )
+    n_decay = epochs * slots
+    if direct:
+        pivots = np.zeros((in_flight * n, width), dtype=np.uint64)
+        plain_bits = np.zeros(in_flight * n, dtype=np.uint64)
 
     for phase in range(1, total_phases + 1):
-        # Which groups are active, and at which layer?
-        active: List[Tuple[int, int]] = []
+        root_group = -1
+        fsets: List[Tuple[int, int, np.ndarray, int]] = []
         for j in range(g):
             d = group_layer(j, phase)
-            if d:
-                active.append((j, d))
-
-        # Transmitter sets for this phase's FORWARD executions.
-        forward_sets: List[Tuple[int, int, List[int]]] = []
-        root_group = -1
-        for j, d in active:
+            if not d:
+                continue
             if d == 1:
                 root_group = j
-            else:
-                senders = [
-                    v for v in layers[d - 1]
-                    if has_group[v, j] and (v, j) not in mis_decoded
-                ]
-                forward_sets.append((j, d, senders))
-
-        touched: Set[Tuple[int, int]] = set()
-        for slot in range(phase_length):
-            transmissions: Dict[int, object] = {}
-
-            if root_group >= 0:
-                gs_root = len(groups[root_group])
-                reps = max(1, params.root_plain_repetitions)
-                if slot < gs_root * reps:
-                    idx = slot % gs_root
-                    pkt = groups[root_group][idx]
-                    transmissions[root] = seal_plain(
-                        root, root_group, idx, pkt.payload, gs_root
-                    )
-                    plain_tx += 1
-
-            epoch_slot = slot % slots
-            in_decay = (slot // slots) < epochs
-            if in_decay and forward_sets:
-                p_tx = 2.0 ** -(epoch_slot + 1)
-                for j, d, senders in forward_sets:
-                    if not senders:
-                        continue
-                    coins = rng.random(len(senders)) < p_tx
-                    hot = np.nonzero(coins)[0]
-                    if len(hot) == 0:
-                        continue
-                    gs = len(groups[j])
-                    payloads = group_payloads[j]
-                    if params.coding_enabled:
-                        masks = rng.integers(0, 1 << gs, size=len(hot))
-                        for idx, mask in zip(hot, masks):
-                            sender = senders[int(idx)]
-                            if sender in transmissions:
-                                continue  # cannot happen (one layer per node)
-                            mask = int(mask)
-                            xor = subset_xor(j, mask)
-                            transmissions[sender] = seal_coded(
-                                sender, j, mask, xor, gs
-                            )
-                            coded_tx += 1
-                    else:
-                        # A1 ablation: uncoded store-and-forward — send one
-                        # uniformly random plain packet of the group.
-                        picks = rng.integers(0, gs, size=len(hot))
-                        for idx, pick in zip(hot, picks):
-                            sender = senders[int(idx)]
-                            if sender in transmissions:
-                                continue
-                            pick = int(pick)
-                            transmissions[sender] = seal_plain(
-                                sender, j, pick, payloads[pick], gs
-                            )
-                            plain_tx += 1
-
-            if not transmissions:
                 continue
+            lay = layers[d - 1]
+            sel = has_group[lay, j]
+            if mis_decoded:
+                sel = sel & np.array(
+                    [(int(v), j) not in mis_decoded for v in lay]
+                )
+            senders = lay[sel]
+            if senders.size:
+                fsets.append((j, d, senders, len(groups[j])))
+
+        if direct:
+            sent = draw_phase_direct(root_group, fsets)
+            if sent is not None:
+                absorb_phase(phase, root_group, *sent, pivots, plain_bits)
+            last, rest = divmod(phase - ecc, spacing)
+            if not rest and last >= 0:
+                block = slice((last % in_flight) * n,
+                              (last % in_flight + 1) * n)
+                pivots[block] = 0
+                plain_bits[block] = 0
+            rounds += phase_length
+            continue
+
+        gs_root = len(groups[root_group]) if root_group >= 0 else 0
+        touched: Set[Tuple[int, int]] = set()
+        epoch_coins: Dict[int, np.ndarray] = {}
+        for slot in range(phase_length):
+            in_decay = slot < n_decay
+            epoch_slot = slot % slots
+            if in_decay and epoch_slot == 0:
+                for j, d, senders, gs in fsets:
+                    epoch_coins[j] = decay_transmit_matrix(
+                        senders.size, rng, slots
+                    )
+
+            root_tx = root_group >= 0 and slot < gs_root * reps
+            tx_entries: List[Tuple[int, int, np.ndarray, np.ndarray, int]] = []
+            if in_decay:
+                for j, d, senders, gs in fsets:
+                    hot = senders[epoch_coins[j][epoch_slot]]
+                    if hot.size == 0:
+                        continue
+                    if params.coding_enabled:
+                        vals = rng.integers(0, 1 << gs, size=hot.size)
+                        coded_tx += hot.size
+                    else:
+                        # A1 ablation: uncoded store-and-forward — send
+                        # one uniformly random plain packet of the group.
+                        vals = rng.integers(0, gs, size=hot.size)
+                        plain_tx += hot.size
+                    tx_entries.append((j, d, hot, vals, gs))
+            if root_tx:
+                plain_tx += 1
+
+            if not root_tx and not tx_entries:
+                continue
+
+            transmissions: Dict[int, object] = {}
+            if root_tx:
+                idx = slot % gs_root
+                pkt = groups[root_group][idx]
+                transmissions[root] = seal_plain(
+                    root, root_group, idx, pkt.payload, gs_root
+                )
+            for j, d, hot, vals, gs in tx_entries:
+                payloads = group_payloads[j]
+                if params.coding_enabled:
+                    for s_, m_ in zip(hot.tolist(), vals.tolist()):
+                        transmissions[s_] = seal_coded(
+                            s_, j, m_, subset_xor(j, m_), gs
+                        )
+                else:
+                    for s_, pick in zip(hot.tolist(), vals.tolist()):
+                        transmissions[s_] = seal_plain(
+                            s_, j, pick, payloads[pick], gs
+                        )
             received = network.resolve_round(transmissions)
             if trace is not None:
                 trace.observe(
-                    round_offset + rounds + slot, transmissions, received
+                    round_offset + rounds + slot,
+                    transmissions,
+                    received,
                 )
-
-            round_discarded = 0
-            round_byz = 0
-            round_poisoned = 0
-            for receiver, msg in received.items():
-                if not (isinstance(msg, tuple) and len(msg) >= 5):
-                    continue  # not dissemination traffic
-                kind = msg[0]
-                if kind not in ("plain", "coded"):
-                    continue  # stray control traffic (e.g. forged ACKs)
-                chk = msg[5] if len(msg) > 5 else None
-                sender: Optional[int] = None
-                if kind == "plain":
-                    _, j, idx, payload, gs = msg[:5]
-                    if has_group[receiver, j]:
-                        continue
-                    d = group_layer(j, phase)
-                    accept = (
-                        params.opportunistic_decoding
-                        or (d and int(dist[receiver]) == d)
-                    )
-                    if not accept:
-                        continue
-                    if auth:
-                        if len(msg) != 9:
-                            round_byz += 1
-                            continue
-                        rtag, sender, htag = msg[6], msg[7], msg[8]
-                        if sender in blacklist:
-                            round_byz += 1
-                            continue
-                        if htag != plain_hop_tag(
-                            sender, j, idx, payload, gs,
-                            -1 if chk is None else chk, rtag, akey,
-                        ):
-                            # unsigned/mis-signed hop: drop, no conviction
-                            round_byz += 1
-                            continue
-                        if rtag != plain_root_tag(root, j, idx, payload,
-                                                  akey):
-                            # the signer vouched for a payload the root
-                            # never minted: provable poison
-                            round_byz += 1
-                            round_poisoned += 1
-                            flagged.add(sender)
-                            continue
-                    # verify before accepting: a malformed index is
-                    # detectable without the key; a flipped bit anywhere
-                    # breaks the keyed checksum
-                    if not 0 <= idx < gs:
-                        corrupt_discarded += 1
-                        round_discarded += 1
-                        continue
-                    if integrity and chk is not None and chk != (
-                        packet_checksum(j, 1 << idx, payload, gs, key)
-                    ):
-                        corrupt_discarded += 1
-                        round_discarded += 1
-                        continue
-                    plain_seen.setdefault((receiver, j), {})[idx] = payload
-                    touched.add((receiver, j))
-                else:
-                    _, j, mask, payload, gs = msg[:5]
-                    if has_group[receiver, j]:
-                        continue
-                    d = group_layer(j, phase)
-                    accept = (
-                        params.opportunistic_decoding
-                        or (d and int(dist[receiver]) == d)
-                    )
-                    if not accept:
-                        continue
-                    if auth:
-                        if len(msg) != 8:
-                            round_byz += 1
-                            continue
-                        sender, htag = msg[6], msg[7]
-                        if sender in blacklist:
-                            round_byz += 1
-                            continue
-                        if htag != coded_hop_tag(
-                            sender, j, mask, payload, gs,
-                            -1 if chk is None else chk, akey,
-                        ):
-                            round_byz += 1
-                            continue
-                        if not in_group_span(j, mask, payload):
-                            # checksum-valid but outside the true span:
-                            # only the signer could have produced it
-                            round_byz += 1
-                            round_poisoned += 1
-                            flagged.add(sender)
-                            continue
-                    pair = (receiver, j)
-                    dec = decoders.get(pair)
-                    if dec is None:
-                        dec = HardenedGroupDecoder(
-                            group_id=j, group_size=gs, key=key
-                        )
-                        decoders[pair] = dec
-                    elif dec.is_complete:
-                        # A full-rank RREF basis cannot change: further
-                        # rows are redundant (or quarantine fodder) and
-                        # the decode result is already fixed, so skip
-                        # the elimination.  Promotion still happens at
-                        # phase end via ``touched``.
-                        touched.add(pair)
-                        continue
-                    coded = CodedMessage(
-                        group_id=j,
-                        subset_mask=mask,
-                        payload=payload,
-                        group_size=gs,
-                        checksum=chk,
-                    )
-                    # FORWARD verifies before Gaussian elimination: the
-                    # hardened decoder checksums / width-checks the row
-                    # and quarantines instead of inserting
-                    rejected_before = len(dec.quarantined)
-                    if dec.absorb(coded, sender=sender):
-                        innovative_rx += 1
-                    newly_rejected = len(dec.quarantined) - rejected_before
-                    corrupt_discarded += newly_rejected
-                    round_discarded += newly_rejected
-                    touched.add(pair)
-            byz_discarded += round_byz
-            poisoned_attributed += round_poisoned
-            if trace is not None:
-                if round_discarded:
-                    trace.observe_integrity(
-                        rx_corrupt_discarded=round_discarded
-                    )
-                if round_byz or round_poisoned:
-                    trace.observe_byzantine(
-                        rx_discarded=round_byz,
-                        poisoned_rows=round_poisoned,
-                    )
+            process_received(received, phase, touched)
 
         rounds += phase_length
-        for receiver, j in touched:
-            try_complete(receiver, j)
+        for v, j in touched:
+            try_complete(v, j)
 
     failed = [
         (v, j)

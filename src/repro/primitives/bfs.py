@@ -18,15 +18,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 import numpy as np
 
-from repro.primitives.decay import (
-    decay_slots,
-    decay_transmit_matrix,
-    run_decay_epoch,
-)
+from repro.primitives.decay import decay_slots, decay_transmit_matrix
 from repro.radio.network import RadioNetwork
 from repro.radio.trace import RoundTrace
 
@@ -71,6 +67,20 @@ def build_distributed_bfs(
     epochs_per_phase:
         Decay epochs per phase (``O(log n)``); defaults to
         :func:`default_bfs_epochs`.
+
+    Notes
+    -----
+    Each epoch's coin flips come from one :func:`decay_transmit_matrix`
+    draw over the frontier, followed by the epoch's slots.  On a
+    :meth:`~RadioNetwork.vector_capable` network without a trace the
+    phase is the unit of work: its frontier is fixed, so all of its
+    epochs' coin matrices are drawn first and every slot of the phase is
+    resolved by one labelled :meth:`RadioNetwork.resolve_round_vector`
+    call (see :func:`_bfs_phase_direct`).  Every other network gets real
+    per-slot dicts, so fault interference and transcripts are preserved.
+    The two orders consume the same stream unless a fault layer shares
+    the protocol's generator (``SupervisedBroadcast`` does), which is why
+    the dict loop draws an epoch's coins right before its slots.
     """
     n = network.n
     if not 0 <= root < n:
@@ -85,88 +95,6 @@ def build_distributed_bfs(
     distance = np.full(n, -1, dtype=np.int64)
     distance[root] = 0
 
-    if getattr(network, "engine", None) == "columnar":
-        return _build_bfs_columnar(
-            network,
-            rng,
-            depth_bound,
-            epochs_per_phase,
-            num_slots,
-            parent,
-            distance,
-            trace,
-            round_offset,
-        )
-
-    rounds = 0
-    phases_run = 0
-    for phase in range(depth_bound):
-        phases_run += 1
-        frontier = np.nonzero(distance == phase)[0].tolist()
-        if not frontier:
-            # No node at this distance; the phase still elapses (nodes only
-            # know the depth *bound*), but simulating silent epochs is
-            # unnecessary — account for the rounds and move on.
-            rounds += epochs_per_phase * num_slots
-            continue
-
-        def message_fn(node: int, slot: int, _phase: int = phase) -> Tuple[int, int]:
-            return (node, _phase)
-
-        for _ in range(epochs_per_phase):
-            receptions = run_decay_epoch(
-                network,
-                frontier,
-                message_fn,
-                rng,
-                num_slots=num_slots,
-                trace=trace,
-                round_offset=round_offset + rounds,
-            )
-            rounds += num_slots
-            for slot_received in receptions:
-                for receiver, payload in slot_received.items():
-                    if not (isinstance(payload, tuple) and len(payload) == 2):
-                        continue  # stray traffic (e.g. a forged ACK)
-                    sender, sender_dist = payload
-                    if distance[receiver] < 0:
-                        parent[receiver] = sender
-                        distance[receiver] = sender_dist + 1
-
-    return DistributedBfsResult(
-        rounds=rounds,
-        parent=[int(p) for p in parent],
-        distance=[int(d) for d in distance],
-        phases=phases_run,
-        epochs_per_phase=epochs_per_phase,
-        complete=bool((distance >= 0).all()),
-    )
-
-
-def _build_bfs_columnar(
-    network,
-    rng: np.random.Generator,
-    depth_bound: int,
-    epochs_per_phase: int,
-    num_slots: int,
-    parent: np.ndarray,
-    distance: np.ndarray,
-    trace: Optional[RoundTrace],
-    round_offset: int,
-) -> DistributedBfsResult:
-    """Vectorized layer-by-layer construction (columnar engine).
-
-    The per-epoch coin flips come from one :func:`decay_transmit_matrix`
-    draw — which consumes the exact stream the reference per-slot loop
-    consumes, so honest columnar BFS is RNG-identical to the reference,
-    not merely semantically equivalent.  On a bare
-    :class:`RadioNetwork` the phase is the unit of work: its frontier is
-    fixed, so all of its epochs' coin matrices are drawn first and every
-    slot of the phase is resolved by one labelled
-    :meth:`RadioNetwork.resolve_round_vector` call (no ``(sender, dist)``
-    tuples are ever materialized).  Fault wrappers get real per-slot
-    dicts so their interference and transcripts are preserved.
-    """
     rounds = 0
     phases_run = 0
     direct = RadioNetwork.vector_capable(network) and trace is None
@@ -174,8 +102,9 @@ def _build_bfs_columnar(
         phases_run += 1
         frontier = np.flatnonzero(distance == phase)
         if frontier.size == 0:
-            # Same charged-but-not-simulated bookkeeping as the
-            # reference loop: the phase elapses silently.
+            # No node at this distance; the phase still elapses (nodes only
+            # know the depth *bound*), but simulating silent epochs is
+            # unnecessary — account for the rounds and move on.
             rounds += epochs_per_phase * num_slots
             continue
         if direct:

@@ -15,15 +15,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence
+from typing import Iterable, Optional
 
 import numpy as np
 
-from repro.primitives.decay import (
-    decay_slots,
-    decay_transmit_matrix,
-    run_decay_epoch,
-)
+from repro.primitives.decay import decay_slots, decay_transmit_matrix
 from repro.radio.network import RadioNetwork
 from repro.radio.trace import RoundTrace
 
@@ -88,7 +84,24 @@ def bgi_broadcast(
     Notes
     -----
     All informed nodes participate in every epoch, exactly as in the BGI
-    protocol; "informed" spreads monotonically.
+    protocol; "informed" spreads monotonically.  Each epoch's transmit
+    decisions come from one :func:`decay_transmit_matrix` draw over the
+    participants.  Once every node is informed, the remaining budgeted
+    epochs are charged to the round counter without being simulated,
+    with or without a trace: by the monotonicity of "informed" they
+    cannot change any state, so their coins are never drawn.
+
+    On a :meth:`~RadioNetwork.vector_capable` network without a trace
+    the epoch is the unit of work: its participant set is fixed, so one
+    labelled :meth:`RadioNetwork.resolve_round_vector` call resolves all
+    of its slots.  Before that call, participants with no uninformed
+    neighbour are dropped (their coins are still drawn): such a
+    transmission reaches only informed nodes, and removing it can only
+    turn collisions at informed nodes into receptions there.  Every
+    other network (fault wrappers, proxies, the ``reference`` engine)
+    gets real transmission dicts, slot by slot, so fault modeling and
+    transcript recording see every round.  Both paths draw the same
+    stream.
     """
     source_list = sorted(set(int(s) for s in sources))
     informed = np.zeros(network.n, dtype=bool)
@@ -113,88 +126,6 @@ def bgi_broadcast(
             epochs_to_complete=epochs_to_complete,
         )
 
-    if getattr(network, "engine", None) == "columnar":
-        return _bgi_broadcast_columnar(
-            network,
-            informed,
-            rng,
-            message,
-            epochs,
-            num_slots,
-            stop_early,
-            trace,
-            round_offset,
-            epochs_to_complete,
-        )
-
-    def message_fn(node: int, slot: int) -> object:
-        return message
-
-    for epoch in range(epochs):
-        participants = np.nonzero(informed)[0].tolist()
-        receptions = run_decay_epoch(
-            network,
-            participants,
-            message_fn,
-            rng,
-            num_slots=num_slots,
-            trace=trace,
-            round_offset=round_offset + rounds,
-        )
-        rounds += num_slots
-        epochs_run += 1
-        for slot_received in receptions:
-            for receiver in slot_received:
-                informed[receiver] = True
-        if epochs_to_complete < 0 and informed.all():
-            epochs_to_complete = epochs_run
-            if stop_early:
-                break
-
-    return BroadcastResult(
-        rounds=rounds,
-        epochs=epochs_run,
-        informed=informed,
-        complete=bool(informed.all()),
-        epochs_to_complete=epochs_to_complete,
-    )
-
-
-def _bgi_broadcast_columnar(
-    network,
-    informed: np.ndarray,
-    rng: np.random.Generator,
-    message: object,
-    epochs: int,
-    num_slots: int,
-    stop_early: bool,
-    trace: Optional[RoundTrace],
-    round_offset: int,
-    epochs_to_complete: int,
-) -> BroadcastResult:
-    """Vectorized flood driver used when the network engine is columnar.
-
-    Per epoch, all participants' transmit decisions come from one
-    :func:`decay_transmit_matrix` draw instead of per-slot Python loops,
-    and once every node is informed the remaining budgeted epochs are
-    charged to the round counter without being simulated — they cannot
-    change any state, by the monotonicity of "informed".  The rounds /
-    epochs / informed / epochs_to_complete accounting is identical to the
-    reference loop; the RNG *stream* diverges after saturation (draws are
-    skipped), which is exactly the divergence the semantic-equivalence
-    oracles (rather than transcript digests) gate.
-
-    When ``network`` is a bare :class:`RadioNetwork` the epoch is the
-    unit of work: its participant set is fixed, so one labelled
-    :meth:`RadioNetwork.resolve_round_vector` call resolves all of its
-    slots.  Before that call, participants with no uninformed neighbour
-    are dropped (their coins are still drawn): "informed" only grows,
-    so such a transmission reaches only informed nodes, and removing it
-    can only turn collisions at informed nodes into receptions there.
-    Fault wrappers and proxies (anything overriding or interposing
-    ``resolve_round``) get real transmission dicts so their fault
-    modeling and transcript recording see every round.
-    """
     direct = RadioNetwork.vector_capable(network) and trace is None
     if direct:
         # uninformed[v]: how many neighbours of v are not yet informed
@@ -202,10 +133,8 @@ def _bgi_broadcast_columnar(
             network.gather_neighbors(np.flatnonzero(informed)),
             minlength=network.n,
         )
-    rounds = 0
-    epochs_run = 0
     for epoch in range(epochs):
-        if trace is None and informed.all():
+        if informed.all():
             # Saturated: every remaining epoch is state-invariant.
             # Charge its rounds; skip its coin flips and resolutions.
             remaining = epochs - epoch

@@ -58,8 +58,10 @@ def decay_transmit_matrix(
     ``rng.random((num_slots, m))`` fills rows sequentially (C order), so
     row ``s`` holds exactly the ``m`` doubles the per-slot
     ``rng.random(m)`` call would have drawn, and the classic variant's
-    geometric stops are drawn once up front in both.  The columnar stage
-    drivers build their batched schedules from this matrix.
+    geometric stops are drawn once up front in both.  The stage drivers
+    (BGI, BFS, Stage 4) draw every Decay epoch as this matrix;
+    :func:`run_decay_epoch` is the per-slot form that tree repair and
+    aggregation use.
     """
     m = int(num_participants)
     if variant == "independent":

@@ -27,19 +27,18 @@ import numpy as np
 
 from repro.radio.errors import TopologyError
 
-#: The protocol engines.  Both resolve every round through the one
-#: reception kernel; they differ only in how the protocol *stages* drive
-#: it.  ``"reference"`` runs every stage slot by slot through
-#: :meth:`RadioNetwork.resolve_round`, drawing its randomness in the
-#: canonical order that the pinned transcript digests record.
-#: ``"columnar"`` switches the stages (election, BFS, collection,
-#: dissemination floods) to whole-network vectorized drivers that batch
-#: RNG draws; those legitimately reorder the random stream, so it is
-#: gated by semantic-equivalence oracles (:mod:`repro.testing.semantic`)
-#: instead of transcript digests.
+#: The protocol engines.  Both run the same stage drivers, which draw
+#: their randomness in one canonical order, so both produce the identical
+#: run.  ``"columnar"`` (the default) lets a driver take its direct path
+#: on a bare :class:`RadioNetwork` (see :meth:`RadioNetwork.vector_capable`):
+#: whole Decay epochs and FORWARD phases resolved by labelled
+#: :meth:`RadioNetwork.resolve_round_vector` calls.  ``"reference"`` keeps
+#: every stage on its dict loop, slot by slot through
+#: :meth:`RadioNetwork.resolve_round`: the setting the direct paths are
+#: compared against.
 ENGINES = ("reference", "columnar")
 
-_default_engine = "reference"
+_default_engine = "columnar"
 
 
 def set_default_engine(name: str) -> None:
@@ -136,9 +135,9 @@ class RadioNetwork:
     engine:
         Protocol engine: one of :data:`ENGINES` (``"reference"``,
         ``"columnar"``).  Defaults to the module default
-        (:func:`get_default_engine`).  Both resolve rounds through the
-        same kernel; ``columnar`` additionally enables the vectorized
-        stage drivers.
+        (:func:`get_default_engine`).  Both give the identical run;
+        ``columnar`` additionally lets the stage drivers take their
+        direct (array) paths.
     diameter_hint:
         Optional exact diameter, when the caller knows it in closed form
         (topology generators do for lines, rings, grids, tori,
@@ -213,9 +212,9 @@ class RadioNetwork:
     def set_engine(self, name: str) -> None:
         """Switch to another engine from :data:`ENGINES`.
 
-        Switching mid-run is well-defined: rounds resolve the same way
-        under either engine, but the switch changes which stage drivers
-        (and hence which RNG draw order) subsequent stages use.
+        Switching mid-run is well-defined: both engines draw the same
+        randomness and resolve rounds the same way; the switch only
+        changes whether later stages may take their direct paths.
         """
         if name not in ENGINES:
             raise ValueError(
@@ -527,7 +526,9 @@ class RadioNetwork:
         """May a stage driver resolve ``network``'s rounds through
         :meth:`resolve_round_vector` instead of :meth:`resolve_round`?
 
-        Only when ``network`` is a :class:`RadioNetwork` whose dict
+        This is the one place that chooses between a driver's direct
+        path and its dict loop.  Only when ``network`` is a
+        :class:`RadioNetwork` on the ``columnar`` engine whose dict
         reception rule is this class's own: a subclass overriding
         ``resolve_round`` (faults, SINR) or a proxy interposing on it
         (recording, churn, dynamic faults) must see every round as a
@@ -540,6 +541,7 @@ class RadioNetwork:
         return (
             isinstance(network, RadioNetwork)
             and type(network).resolve_round is RadioNetwork.resolve_round
+            and network.engine == "columnar"
         )
 
     def resolve_round_vector(

@@ -204,11 +204,10 @@ def execute_campaign(
     """Run one campaign end to end, recording both transcripts.
 
     ``engine`` optionally overrides the simulation engine for the whole
-    fault stack.  A ``"reference"`` run replays bit-identically, round
-    by round, against the per-transmitter scan
-    (:mod:`repro.testing.differential`); ``"columnar"`` batches its RNG
-    draws and is judged by the semantic-equivalence gate
-    (:mod:`repro.testing.semantic`) instead.
+    fault stack.  The stack wraps the base network, so every stage runs
+    its dict loop and both engines give the identical execution; a
+    ``"reference"`` run replays bit-identically, round by round, against
+    the per-transmitter scan (:mod:`repro.testing.differential`).
     """
     base = build_topology_spec(campaign.topology)
     if engine is not None:

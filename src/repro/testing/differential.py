@@ -9,7 +9,8 @@ whole executions, as data:
 - a :class:`DifferentialScenario` pins one complete execution — topology,
   workload, fault profile and every seed — as a serializable description;
 - :func:`run_scenario` replays it under one engine and reduces the
-  execution to digests and summaries (:class:`EngineRun`);
+  execution to digests and summaries (:class:`EngineRun`); both engines
+  must give equal runs;
 - :func:`replay_against_scan` runs it once under ``reference`` and
   re-resolves every recorded pre-fault round through the scan, reporting
   the first round whose received dict differs, receiver order included
@@ -192,8 +193,12 @@ def run_scenario(
     ``execution`` optionally supplies an already-executed
     :class:`~repro.resilience.chaos.runner.TrialExecution` for this
     scenario/engine pair, so callers that also need the execution object
-    itself (the semantic-equivalence gate audits its fault network) can
-    reduce it without running the campaign twice.
+    itself (:func:`replay_against_scan` re-resolves its base network's
+    rounds) can reduce it without running the campaign twice.
+
+    Both engines draw the same randomness, so the ``columnar`` and
+    ``reference`` runs of one scenario are equal in every field but
+    ``engine``.
     """
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}; expected {ENGINES}")
@@ -291,8 +296,8 @@ def replay_against_scan(
 
     ``execution`` optionally supplies an already-executed ``reference``
     :class:`~repro.resilience.chaos.runner.TrialExecution` of
-    ``scenario``, so the semantic gate's baseline and this replay share
-    one run.  The pinned scenarios have no churn layer, so the inner
+    ``scenario``, so a caller that inspects the run can share it with
+    this replay.  The pinned scenarios have no churn layer, so the inner
     transcript holds exactly what the base network resolved.
     """
     if execution is None:

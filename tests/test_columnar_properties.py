@@ -299,6 +299,10 @@ def test_vector_capable_is_one_call_time_predicate(monkeypatch):
         FaultyRadioNetwork(net, erasure_prob=0.1, seed=1)
     )
     assert not RadioNetwork.vector_capable(object())
+    # The reference engine keeps every stage on its dict loop.
+    reference = grid(3, 3)
+    reference.set_engine("reference")
+    assert not RadioNetwork.vector_capable(reference)
     # Tracing replaces the class attribute with a wrapper; bare networks
     # must keep the vector path.
     original = RadioNetwork.resolve_round

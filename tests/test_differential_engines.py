@@ -90,8 +90,8 @@ def test_digest_is_order_sensitive():
 
 def test_scan_replay_and_verify_transcript_are_order_sensitive():
     """Both physics checks against the scan — the one-run gate and the
-    semantic gate's ``verify_transcript`` — flag a round whose receivers
-    come out reversed, and name that round."""
+    transcript auditor ``verify_transcript`` — flag a round whose
+    receivers come out reversed, and name that round."""
     scenario = scenario_by_name("grid-clean")
     execution = execute_campaign(
         scenario.campaign(), preset=scenario.preset, engine="reference"
