@@ -10,11 +10,13 @@ Methodology notes baked in here so every consumer inherits them:
 
 - best-of-N timing (min over repetitions) — robust to scheduler noise;
 - the integrity-layer ``lru_cache``s are cleared before every timed
-  end-to-end run: the caches are global, so whichever engine ran first
+  end-to-end run: the caches are global, so whichever leg ran first
   would otherwise warm them for the second and bias the comparison;
 - comparisons always run both sides on the *same* prebuilt inputs (same
-  network object, same transmission patterns, same packet workload) so
-  only the resolver/kernel or engine differs.
+  CSR adjacency, same transmission patterns, same packet workload) so
+  only the resolver/kernel or the stage drivers' path differs.  The
+  dict-loop leg of an end-to-end comparison runs on a
+  :class:`DictLoopNetwork` over the direct leg's CSR.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from typing import Callable, Dict, List
 
 import numpy as np
 
-from repro import MultipleMessageBroadcast
+from repro import MultipleMessageBroadcast, RadioNetwork
 from repro.coding import integrity
 from repro.coding.gf2 import (
     gf2_rank,
@@ -41,9 +43,29 @@ from repro.experiments.workloads import uniform_random_placement
 from repro.topology import grid, random_geometric
 
 #: Bumped whenever the measured quantities change shape.
-#: Schema 2 adds the columnar engine's grid end-to-end sample and the
-#: ``topology`` field on end-to-end measurements.
-BASELINE_SCHEMA = 2
+#: Schema 2 adds the columnar grid end-to-end sample and the
+#: ``topology`` field on end-to-end measurements.  Schema 3 renames the
+#: ``reference`` legs to ``dict_loop`` and each measurement's ``engine``
+#: field to ``path`` (``"direct"`` or ``"dict_loop"``).
+BASELINE_SCHEMA = 3
+
+
+class DictLoopNetwork(RadioNetwork):
+    """``base``'s CSR (shared, not copied) behind a ``resolve_round``
+    override, so every stage driver takes its dict loop
+    (:meth:`RadioNetwork.vector_capable` is false for a subclass that
+    overrides ``resolve_round``).  Unlike ``RecordingNetwork`` it keeps
+    no transcript, so the dict-loop leg times only the dict loop."""
+
+    def __init__(self, base: RadioNetwork):
+        indptr, indices = base.csr_adjacency()
+        self._adopt_csr(
+            indptr, indices, name=f"dict_loop({base.name})",
+            diameter=base.diameter,
+        )
+
+    def resolve_round(self, transmissions):
+        return RadioNetwork.resolve_round(self, transmissions)
 
 
 def best_of(fn: Callable[[], object], reps: int = 3) -> float:
@@ -213,19 +235,23 @@ def build_network(topology: str, n: int, seed: int = 21):
 
 
 def measure_end_to_end(
-    n: int, k: int, engine: str,
+    n: int, k: int, dict_loop: bool = False,
     topo_seed: int = 21, workload_seed: int = 7, algo_seed: int = 123,
     topology: str = "rgg", net=None,
 ) -> Dict[str, float]:
     """One full four-stage multibroadcast, cold integrity caches.
 
-    Pass a prebuilt ``net`` (from :func:`build_network`) to compare
-    engines on the identical network object without paying the build
-    cost per measurement.
+    ``dict_loop`` runs it on a :class:`DictLoopNetwork` over the same
+    CSR, so every stage takes its dict loop; otherwise the bare network
+    lets every stage take its direct path.  Both give the identical run.
+    Pass a prebuilt ``net`` (from :func:`build_network`) to compare the
+    two on the identical adjacency without paying the build cost per
+    measurement.
     """
     if net is None:
         net = build_network(topology, n, seed=topo_seed)
-    net.set_engine(engine)
+    if dict_loop:
+        net = DictLoopNetwork(net)
     packets = uniform_random_placement(net, k=k, seed=workload_seed)
     clear_integrity_caches()
     t0 = time.perf_counter()
@@ -235,7 +261,7 @@ def measure_end_to_end(
     return {
         "n": n,
         "k": k,
-        "engine": engine,
+        "path": "dict_loop" if dict_loop else "direct",
         "topology": topology,
         "seconds": elapsed,
         "rounds": result.total_rounds,
@@ -258,26 +284,27 @@ def collect_baseline() -> dict:
     resolver = samples[1]
     rank = measure_rank(1024)
     solve = measure_solve(512)
-    measure_end_to_end(100, 32, "reference")  # discarded warmup: the
-    # first multibroadcast in a process pays one-time import/cache costs
-    # that would otherwise be booked against whichever engine runs first
-    e2e_ref = measure_end_to_end(100, 32, "reference")
+    measure_end_to_end(100, 32, dict_loop=True)  # discarded warmup:
+    # the first multibroadcast in a process pays one-time import/cache
+    # costs that would otherwise be booked against whichever leg runs
+    # first
+    e2e_dict = measure_end_to_end(100, 32, dict_loop=True)
     grid_net = build_network("grid", 900)
     e2e_grid_col = measure_end_to_end(
-        900, 24, "columnar", topology="grid", net=grid_net
+        900, 24, topology="grid", net=grid_net
     )
-    e2e_grid_ref = measure_end_to_end(
-        900, 24, "reference", topology="grid", net=grid_net
+    e2e_grid_dict = measure_end_to_end(
+        900, 24, dict_loop=True, topology="grid", net=grid_net
     )
     return {
         "schema": BASELINE_SCHEMA,
         "resolver_n500_t350": resolver,
         "rank_1024": rank,
         "solve_512": solve,
-        "end_to_end_n100_k32": {"reference": e2e_ref},
+        "end_to_end_n100_k32": {"dict_loop": e2e_dict},
         "end_to_end_grid_n900_k24": {
-            "reference": e2e_grid_ref,
+            "dict_loop": e2e_grid_dict,
             "columnar": e2e_grid_col,
-            "speedup": e2e_grid_ref["seconds"] / e2e_grid_col["seconds"],
+            "speedup": e2e_grid_dict["seconds"] / e2e_grid_col["seconds"],
         },
     }

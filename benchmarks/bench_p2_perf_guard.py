@@ -8,10 +8,11 @@ baseline (``benchmarks/results/perf_baseline.json``, captured with
   speedups must not collapse — a drop below 3x on the resolver's
   heavy-contention case means the reception kernel stopped being fast;
 - **relative regression** (normalized): the fast side's share of the
-  slow side's time (kernel vs scan, packed vs pure GF(2), columnar vs
-  reference) must not grow by more than 20% over the baseline's share.  Comparing *ratios of ratios* cancels out the
-  machine, so the guard is meaningful on hardware other than the one
-  that captured the baseline.
+  slow side's time (kernel vs scan, packed vs pure GF(2), the stage
+  drivers' direct paths vs their dict loops) must not grow by more than
+  20% over the baseline's share.  Comparing *ratios of ratios* cancels
+  out the machine, so the guard is meaningful on hardware other than
+  the one that captured the baseline.
 
 Re-capture the baseline (deliberate perf-semantics changes only)::
 
@@ -37,10 +38,10 @@ REGRESSION_TOLERANCE = 1.20
 #: heavy contention.
 MIN_RESOLVER_SPEEDUP = 3.0
 
-#: Columnar vs reference on the n=900 grid sample: the measured ratio is
-#: ~2x and grows with n (the P3 flagship shows >10x at n=10^4); a drop
-#: below this floor means the columnar stage drivers fell off their
-#: array path (e.g. a dispatch regression back to the dict loop).
+#: Direct paths vs dict loops on the n=900 grid sample: the measured
+#: ratio grows with n; a drop below this floor means the stage drivers
+#: fell off their direct paths (e.g. a dispatch regression back to the
+#: dict loop).
 MIN_COLUMNAR_SPEEDUP = 1.4
 
 
@@ -110,42 +111,40 @@ def test_guard_gf2_solve(baseline, benchmark):
 
 
 def test_guard_end_to_end(baseline, benchmark):
-    """End-to-end is NOT timing-gated: the full reference multibroadcast
+    """End-to-end is NOT timing-gated: the full dict-loop multibroadcast
     is floored by the protocol loop and drowns in host noise on small
     workloads.  What this test pins is the RNG stream behind every
     seeded run — the round count — plus the timing as recorded
     extra_info for the CI artifact."""
     pinned = baseline["end_to_end_n100_k32"]
-    ref = _perf.measure_end_to_end(100, 32, "reference")
-    benchmark.extra_info.update({"reference": ref})
+    dict_loop = _perf.measure_end_to_end(100, 32, dict_loop=True)
+    benchmark.extra_info.update({"dict_loop": dict_loop})
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
-    assert ref["rounds"] == pinned["reference"]["rounds"]
+    assert dict_loop["rounds"] == pinned["dict_loop"]["rounds"]
 
 
 def test_guard_columnar_end_to_end(baseline, benchmark):
-    """Columnar vs reference on the pinned n=900 grid workload.  Unlike
-    the end-to-end pin above this one IS timing-gated: the columnar win
-    is a full engine-architecture gap (array stage drivers vs per-round
-    dict loop), so the ratio is far enough from 1 to gate on even with
-    host noise.  Round counts are replay-deterministic and pinned
-    per engine."""
+    """Direct paths vs dict loops on the pinned n=900 grid workload.
+    Unlike the end-to-end pin above this one IS timing-gated: the
+    direct paths resolve whole Decay epochs and FORWARD phases per
+    kernel call where the dict loops go round by round, so the ratio is
+    far enough from 1 to gate on even with host noise.  Round counts
+    are replay-deterministic and pinned per leg."""
     pinned = baseline["end_to_end_grid_n900_k24"]
     net = _perf.build_network("grid", 900)
-    col = _perf.measure_end_to_end(
-        900, 24, "columnar", topology="grid", net=net
+    col = _perf.measure_end_to_end(900, 24, topology="grid", net=net)
+    dict_loop = _perf.measure_end_to_end(
+        900, 24, dict_loop=True, topology="grid", net=net
     )
-    ref = _perf.measure_end_to_end(
-        900, 24, "reference", topology="grid", net=net
-    )
-    benchmark.extra_info.update({"columnar": col, "reference": ref})
+    benchmark.extra_info.update({"columnar": col, "dict_loop": dict_loop})
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
     assert col["rounds"] == pinned["columnar"]["rounds"], col
-    assert ref["rounds"] == pinned["reference"]["rounds"], ref
-    assert ref["seconds"] / col["seconds"] >= MIN_COLUMNAR_SPEEDUP, (
-        col, ref,
+    assert dict_loop["rounds"] == pinned["dict_loop"]["rounds"], dict_loop
+    assert dict_loop["seconds"] / col["seconds"] >= MIN_COLUMNAR_SPEEDUP, (
+        col, dict_loop,
     )
     _check_normalized(
-        "grid n=900 columnar vs reference",
-        col["seconds"] / ref["seconds"],
-        pinned["columnar"]["seconds"] / pinned["reference"]["seconds"],
+        "grid n=900 direct vs dict loop",
+        col["seconds"] / dict_loop["seconds"],
+        pinned["columnar"]["seconds"] / pinned["dict_loop"]["seconds"],
     )

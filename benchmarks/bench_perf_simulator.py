@@ -7,8 +7,9 @@ small multi-broadcast) are caught by the benchmark history.
 
 The comparisons at the bottom pin the reception kernel's lead over the
 per-transmitter scan under heavy contention, the packed GF(2) solver's
-lead on wide systems, and the reference engine's full n=500, k=128
-multibroadcast (floored by the protocol loop itself — see DESIGN.md).
+lead on wide systems, and the full n=500, k=128 multibroadcast on the
+stage drivers' dict loops (floored by the protocol loop itself — see
+DESIGN.md).
 
 Run directly with ``--json PATH`` to capture the regression-guard
 baseline checked by ``bench_p2_perf_guard.py``::
@@ -133,11 +134,11 @@ def test_perf_gf2_solve_wide(benchmark):
     assert stats["speedup"] >= 1.5, stats
 
 
-def test_perf_multibroadcast_n500_k128_reference(benchmark):
-    """The n=500, k=128 workload under the reference engine.  Runs
-    exactly once (benchmark.pedantic): the workload is seconds-scale."""
+def test_perf_multibroadcast_n500_k128_dict_loop(benchmark):
+    """The n=500, k=128 workload on the dict loops.  Runs exactly once
+    (benchmark.pedantic): the workload is seconds-scale."""
     def run():
-        return _perf.measure_end_to_end(500, 128, "reference")
+        return _perf.measure_end_to_end(500, 128, dict_loop=True)
 
     stats = benchmark.pedantic(run, rounds=1, iterations=1)
     benchmark.extra_info.update(stats)

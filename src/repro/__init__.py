@@ -41,12 +41,9 @@ from repro.coding import (
 )
 from repro.coding.packets import make_packets, required_packet_bits
 from repro.core import (
-    ENGINES,
     AlgorithmParameters,
     MultiBroadcastResult,
     MultipleMessageBroadcast,
-    get_default_engine,
-    set_default_engine,
 )
 from repro.dynamic import (
     BatchedDynamicBroadcast,
@@ -108,9 +105,6 @@ __all__ = [
     "AbstractMacLayer",
     "AdversaryStack",
     "AlgorithmParameters",
-    "ENGINES",
-    "get_default_engine",
-    "set_default_engine",
     "BatchedDynamicBroadcast",
     "BudgetedJammer",
     "BurstProcess",

@@ -56,7 +56,6 @@ def decay_gossip_broadcast(
     trace: Optional[RoundTrace] = None,
     raise_on_budget: bool = False,
     selection: str = "uniform",
-    engine: Optional[str] = None,
 ) -> GossipResult:
     """Run uncoded random-push gossip until everyone knows all packets.
 
@@ -66,11 +65,6 @@ def decay_gossip_broadcast(
         Epoch budget.  Defaults to a generous
         ``8·(k + D + log n)·log(n+k)`` so that completion-time measurement
         is rarely truncated.
-    engine:
-        Optional simulation-engine override (``"reference"``/
-        ``"columnar"``) pushed into ``network``; ``None`` keeps the
-        network's current engine.  Gossip has no columnar driver, so
-        both engines run it through the same reception kernel.
     selection:
         Which known packet a transmitter pushes (ablation A6):
 
@@ -82,8 +76,6 @@ def decay_gossip_broadcast(
           (fast spreading of new information, at the risk of starving old
           packets).
     """
-    if engine is not None:
-        network.set_engine(engine)
     n = network.n
     k = len(packets)
     if k == 0:

@@ -47,17 +47,13 @@ def round_robin_flood_broadcast(
     max_rounds: Optional[int] = None,
     trace: Optional[RoundTrace] = None,
     raise_on_budget: bool = False,
-    engine: Optional[str] = None,
 ) -> RoundRobinFloodResult:
     """Flood all packets deterministically on the ID frame.
 
     In its slot, a node transmits the oldest packet it knows but has not
     yet transmitted (FIFO).  No randomness, no collisions, no topology
     knowledge; completion is guaranteed within ``n·(n·k + D)`` rounds.
-    ``engine`` optionally overrides the network's simulation engine.
     """
-    if engine is not None:
-        network.set_engine(engine)
     n = network.n
     k = len(packets)
     if k == 0:

@@ -39,14 +39,8 @@ def sequential_bgi_broadcast(
     rng: np.random.Generator,
     epochs_per_packet: Optional[int] = None,
     trace: Optional[RoundTrace] = None,
-    engine: Optional[str] = None,
 ) -> SequentialBroadcastResult:
-    """Broadcast each packet in its own fixed BGI window, back to back.
-
-    ``engine`` optionally overrides the network's simulation engine.
-    """
-    if engine is not None:
-        network.set_engine(engine)
+    """Broadcast each packet in its own fixed BGI window, back to back."""
     if epochs_per_packet is None:
         epochs_per_packet = default_broadcast_epochs(network)
 

@@ -109,7 +109,6 @@ def tdma_flood_broadcast(
     max_rounds: Optional[int] = None,
     trace: Optional[RoundTrace] = None,
     raise_on_budget: bool = False,
-    engine: Optional[str] = None,
 ) -> TdmaFloodResult:
     """Deterministic pipelined flooding on the TDMA frame.
 
@@ -117,10 +116,7 @@ def tdma_flood_broadcast(
     transmits the oldest packet it knows but has not yet transmitted
     (FIFO per node).  Every transmission is collision-free by the
     distance-2 property, so each reaches the sender's whole neighborhood.
-    ``engine`` optionally overrides the network's simulation engine.
     """
-    if engine is not None:
-        network.set_engine(engine)
     n = network.n
     k = len(packets)
     if k == 0:

@@ -16,12 +16,7 @@ settings, and :meth:`AlgorithmParameters.paper` gives conservative,
 bound-faithful ones.
 """
 
-from repro.core.config import (
-    ENGINES,
-    AlgorithmParameters,
-    get_default_engine,
-    set_default_engine,
-)
+from repro.core.config import AlgorithmParameters
 from repro.core.collection import CollectionResult, run_collection_stage
 from repro.core.dissemination import DisseminationResult, run_dissemination_stage
 from repro.core.reference import (
@@ -35,12 +30,9 @@ from repro.core.multibroadcast import (
 )
 
 __all__ = [
-    "ENGINES",
     "AlgorithmParameters",
     "CollectionResult",
     "DisseminationResult",
-    "get_default_engine",
-    "set_default_engine",
     "MultiBroadcastResult",
     "MultipleMessageBroadcast",
     "StageTiming",

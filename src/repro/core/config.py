@@ -14,12 +14,7 @@ import math
 from dataclasses import dataclass, replace
 from typing import Optional
 
-from repro.radio.network import (  # noqa: F401  (re-exported engine control)
-    ENGINES,
-    RadioNetwork,
-    get_default_engine,
-    set_default_engine,
-)
+from repro.radio.network import RadioNetwork
 
 
 def log2n(n: int) -> float:
@@ -61,9 +56,6 @@ class AlgorithmParameters:
         When false, FORWARD transmits a uniformly random *plain* packet of
         the group instead of a coded combination (the A1 ablation /
         uncoded baseline).
-    decay_variant:
-        ``"independent"`` (the paper's FORWARD formulation) or
-        ``"classic"`` (BGI 1992 prefix-geometric).
     collection_estimate_factor:
         Initial Stage-3 estimate = ``factor · (D + log2 n) · log2 n``
         (the paper's starting value has factor 1).
@@ -114,20 +106,14 @@ class AlgorithmParameters:
         Master key the per-node signing keys are derived from (a dealer
         secret; each node learns only its own derived key).
     engine:
-        Simulation-engine name: one of
-        :data:`repro.radio.network.ENGINES` (``"reference"``,
-        ``"columnar"``) or ``None`` (default) to inherit whatever engine
-        the network already uses (the process default, see
-        :func:`set_default_engine`, ``"columnar"``).  Both engines
-        draw their randomness in one canonical order and give the
-        identical run.  ``columnar`` lets each stage take its direct
-        (array) path on a bare network; ``reference`` keeps every stage
-        on its dict loop, slot by slot through the reception kernel, and
-        :mod:`repro.testing.differential` replays its rounds against the
-        per-transmitter scan.  Threaded into the network by every
-        entry point that accepts parameters
-        (:class:`~repro.core.multibroadcast.MultipleMessageBroadcast`,
-        the supervised/chaos runners, the baselines).
+        ``None`` (the default) or ``"columnar"``; either selects
+        nothing.  Each stage takes its direct (array) path on a bare
+        network with no trace and its dict loop everywhere else, chosen
+        by the network's own type
+        (:meth:`repro.radio.network.RadioNetwork.vector_capable`), and
+        both paths give the identical run.  The field is kept only so
+        that existing ``engine="columnar"`` call sites still construct;
+        any other value raises :class:`ValueError`.
     """
 
     c_log: float = 1.5
@@ -138,7 +124,6 @@ class AlgorithmParameters:
     group_spacing: int = 3
     opportunistic_decoding: bool = False
     coding_enabled: bool = True
-    decay_variant: str = "independent"
     collection_estimate_factor: float = 1.0
     mspg_enabled: bool = True
     max_collection_phases: int = 40
@@ -152,21 +137,11 @@ class AlgorithmParameters:
     engine: Optional[str] = None
 
     def __post_init__(self) -> None:
-        if self.engine is not None and self.engine not in ENGINES:
+        if self.engine not in (None, "columnar"):
             raise ValueError(
-                f"unknown engine {self.engine!r}; expected one of {ENGINES}"
+                f"unknown engine {self.engine!r}: the only accepted value "
+                f"is 'columnar', which selects nothing"
             )
-
-    def apply_engine(self, network) -> None:
-        """Push the engine choice into ``network`` (wrappers delegate
-        down to the base topology).  No-op when ``engine`` is
-        ``None``."""
-        engine = self.engine
-        if engine is None:
-            return
-        set_eng = getattr(network, "set_engine", None)
-        if set_eng is not None:
-            set_eng(engine)
 
     # ------------------------------------------------------------------
     # Presets

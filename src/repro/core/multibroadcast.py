@@ -106,7 +106,6 @@ class MultipleMessageBroadcast:
     ):
         self.network = network
         self.params = params or AlgorithmParameters()
-        self.params.apply_engine(network)
         self.rng = make_rng(seed)
         self.depth_bound = depth_bound or network.diameter
         self.trace = RoundTrace() if keep_trace else None

@@ -376,7 +376,6 @@ class ContinuousBroadcast:
                 collection_estimate_factor=0.25, mspg_enabled=False,
             )
         self.params = params
-        self.params.apply_engine(network)
         self.rng = make_rng(seed)
         self.depth_bound = depth_bound or network.diameter
         self.quarantined = frozenset(

@@ -23,7 +23,7 @@ from typing import List, Optional
 import numpy as np
 
 from repro.primitives.decay import decay_slots, decay_transmit_matrix
-from repro.radio.network import RadioNetwork
+from repro.radio.network import RadioNetwork, _sorted_unique
 from repro.radio.trace import RoundTrace
 
 
@@ -178,6 +178,6 @@ def _bfs_phase_direct(
         tx_ids, np.concatenate(labels)
     )
     fresh = distance[receivers] < 0
-    adopters, first = np.unique(receivers[fresh], return_index=True)
+    adopters, first = _sorted_unique(receivers[fresh], return_index=True)
     parent[adopters] = tx_ids[entries[fresh][first]]
     distance[adopters] = phase + 1

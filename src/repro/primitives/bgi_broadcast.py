@@ -20,7 +20,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from repro.primitives.decay import decay_slots, decay_transmit_matrix
-from repro.radio.network import RadioNetwork
+from repro.radio.network import RadioNetwork, _sorted_unique
 from repro.radio.trace import RoundTrace
 
 
@@ -98,9 +98,9 @@ def bgi_broadcast(
     neighbour are dropped (their coins are still drawn): such a
     transmission reaches only informed nodes, and removing it can only
     turn collisions at informed nodes into receptions there.  Every
-    other network (fault wrappers, proxies, the ``reference`` engine)
-    gets real transmission dicts, slot by slot, so fault modeling and
-    transcript recording see every round.  Both paths draw the same
+    other network (fault wrappers, proxies) gets real transmission
+    dicts, slot by slot, so fault modeling and transcript recording see
+    every round.  Both paths draw the same
     stream.
     """
     source_list = sorted(set(int(s) for s in sources))
@@ -149,7 +149,7 @@ def bgi_broadcast(
             receivers, _, _ = network.resolve_round_vector(
                 participants[idx], slot
             )
-            fresh = np.unique(receivers[~informed[receivers]])
+            fresh = _sorted_unique(receivers[~informed[receivers]])
             informed[fresh] = True
             np.subtract.at(uninformed, network.gather_neighbors(fresh), 1)
         else:

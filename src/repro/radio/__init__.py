@@ -6,7 +6,7 @@ a message in a round if and only if *exactly one* of its neighbors transmits
 in that round (no collision detection).
 
 The collision semantics live in a single place,
-:meth:`RadioNetwork.resolve_round`, which every protocol engine in the
+:meth:`RadioNetwork.resolve_round`, which every stage driver in the
 library must use, so all simulations share identical physics.
 """
 
@@ -17,24 +17,15 @@ from repro.radio.errors import (
     TopologyError,
 )
 from repro.radio.faults import FaultyRadioNetwork
-from repro.radio.network import (
-    ENGINES,
-    RadioNetwork,
-    get_default_engine,
-    popcount_u64,
-    set_default_engine,
-)
+from repro.radio.network import RadioNetwork, popcount_u64
 from repro.radio.protocol import Node, ProtocolOutcome, Simulator
 from repro.radio.rng import make_rng, spawn_rngs
 from repro.radio.sinr import SinrRadioNetwork
 from repro.radio.trace import RoundRecord, RoundTrace
 
 __all__ = [
-    "ENGINES",
     "FaultyRadioNetwork",
-    "get_default_engine",
     "popcount_u64",
-    "set_default_engine",
     "Node",
     "ProtocolError",
     "ProtocolOutcome",

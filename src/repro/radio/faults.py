@@ -67,7 +67,6 @@ class FaultyRadioNetwork(RadioNetwork):
             indptr,
             indices,
             name=f"faulty({base.name},e={erasure_prob})",
-            engine=getattr(base, "engine", None),
             diameter=None,
         )
         self._base = base
@@ -87,12 +86,6 @@ class FaultyRadioNetwork(RadioNetwork):
         if self._diameter is None:
             self._diameter = self._base.diameter
         return self._diameter
-
-    def set_engine(self, name: str) -> None:
-        """Switch the *wrapped* network's resolver (collision semantics
-        come from the base; this wrapper only drops receptions)."""
-        super().set_engine(name)
-        self._base.set_engine(name)
 
     # -- churn passthroughs -------------------------------------------
     # FaultyRadioNetwork is a RadioNetwork subclass, not a __getattr__

@@ -12,7 +12,7 @@ model's reception semantics once, as a CSR kernel:
 for the batched stage drivers.  :meth:`RadioNetwork.resolve_round_scan`
 states the same rule as a plain per-transmitter neighbor scan; it is the
 oracle tests and gates compare the kernel against, not a code path any
-engine takes.
+stage driver takes.
 
 Everything else (diameter, BFS layers, degree statistics) is supporting
 machinery used by protocols and by the experiment harness.
@@ -26,33 +26,6 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.radio.errors import TopologyError
-
-#: The protocol engines.  Both run the same stage drivers, which draw
-#: their randomness in one canonical order, so both produce the identical
-#: run.  ``"columnar"`` (the default) lets a driver take its direct path
-#: on a bare :class:`RadioNetwork` (see :meth:`RadioNetwork.vector_capable`):
-#: whole Decay epochs and FORWARD phases resolved by labelled
-#: :meth:`RadioNetwork.resolve_round_vector` calls.  ``"reference"`` keeps
-#: every stage on its dict loop, slot by slot through
-#: :meth:`RadioNetwork.resolve_round`: the setting the direct paths are
-#: compared against.
-ENGINES = ("reference", "columnar")
-
-_default_engine = "columnar"
-
-
-def set_default_engine(name: str) -> None:
-    """Set the engine newly constructed networks use (see :data:`ENGINES`)."""
-    global _default_engine
-    if name not in ENGINES:
-        raise ValueError(f"unknown engine {name!r}; expected one of {ENGINES}")
-    _default_engine = name
-
-
-def get_default_engine() -> str:
-    """The engine newly constructed networks resolve rounds with."""
-    return _default_engine
-
 
 if hasattr(np, "bitwise_count"):  # numpy >= 2.0
 
@@ -70,6 +43,28 @@ else:  # pragma: no cover - exercised only on numpy < 2.0
         as_bytes = np.ascontiguousarray(words).view(np.uint8)
         counts = _POP8[as_bytes].reshape(*words.shape, 8)
         return counts.sum(axis=-1, dtype=np.uint64)
+
+
+def _sorted_unique(values: np.ndarray, return_index: bool = False):
+    """The distinct entries of ``values``, ascending, as
+    ``np.unique(values, return_index=...)`` gives them: with
+    ``return_index``, also the index of each one's first occurrence
+    (a stable argsort keeps occurrences in order).
+
+    Sort and neighbour mask, not ``np.unique``: it is about 10x slower
+    on numpy 2.4.
+    """
+    if return_index:
+        order = np.argsort(values, kind="stable")
+        ordered = values[order]
+    else:
+        ordered = np.sort(values)
+    first = np.empty(ordered.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    if return_index:
+        return ordered[first], order[first]
+    return ordered[first]
 
 
 def _csr_from_edges(
@@ -132,12 +127,6 @@ class RadioNetwork:
         assumes connectivity (otherwise broadcast is impossible).
     name:
         Optional human-readable label used in reports.
-    engine:
-        Protocol engine: one of :data:`ENGINES` (``"reference"``,
-        ``"columnar"``).  Defaults to the module default
-        (:func:`get_default_engine`).  Both give the identical run;
-        ``columnar`` additionally lets the stage drivers take their
-        direct (array) paths.
     diameter_hint:
         Optional exact diameter, when the caller knows it in closed form
         (topology generators do for lines, rings, grids, tori,
@@ -152,11 +141,10 @@ class RadioNetwork:
         n: Optional[int] = None,
         require_connected: bool = True,
         name: str = "",
-        engine: Optional[str] = None,
         diameter_hint: Optional[int] = None,
     ):
         indptr, indices = _csr_from_edges(edges, n)
-        self._adopt_csr(indptr, indices, name, engine, diameter_hint)
+        self._adopt_csr(indptr, indices, name, diameter_hint)
         if require_connected and self._n > 1 and not self.is_connected():
             raise TopologyError(f"{self._name} is disconnected")
 
@@ -165,7 +153,6 @@ class RadioNetwork:
         indptr: np.ndarray,
         indices: np.ndarray,
         name: str,
-        engine: Optional[str],
         diameter: Optional[int],
     ) -> None:
         """Take ``(indptr, indices)`` as this network's adjacency (shared,
@@ -185,11 +172,6 @@ class RadioNetwork:
         self._diameter: Optional[int] = None
         if diameter is not None:
             self.set_diameter_hint(diameter)
-        self._engine = engine if engine is not None else _default_engine
-        if self._engine not in ENGINES:
-            raise ValueError(
-                f"unknown engine {self._engine!r}; expected one of {ENGINES}"
-            )
         # The labelled kernel's byte workspace (see _scratch) and, when
         # its keys fit int32, an int32 copy of ``indices``.
         self._workspace: Optional[np.ndarray] = None
@@ -203,24 +185,6 @@ class RadioNetwork:
     def n(self) -> int:
         """Number of nodes."""
         return self._n
-
-    @property
-    def engine(self) -> str:
-        """Which protocol engine (stage drivers) this network uses."""
-        return self._engine
-
-    def set_engine(self, name: str) -> None:
-        """Switch to another engine from :data:`ENGINES`.
-
-        Switching mid-run is well-defined: both engines draw the same
-        randomness and resolve rounds the same way; the switch only
-        changes whether later stages may take their direct paths.
-        """
-        if name not in ENGINES:
-            raise ValueError(
-                f"unknown engine {name!r}; expected one of {ENGINES}"
-            )
-        self._engine = name
 
     def set_diameter_hint(self, diameter: int) -> None:
         """Seed the :attr:`diameter` cache with a known-exact value."""
@@ -287,14 +251,7 @@ class RadioNetwork:
         level = 0
         while frontier.size:
             nbrs = self.gather_neighbors(frontier)
-            fresh = np.sort(nbrs[dist[nbrs] < 0])
-            if fresh.size == 0:
-                break
-            # dedupe the sorted fresh nodes (np.unique is ~10x slower)
-            first = np.empty(fresh.size, dtype=bool)
-            first[0] = True
-            np.not_equal(fresh[1:], fresh[:-1], out=first[1:])
-            frontier = fresh[first]
+            frontier = _sorted_unique(nbrs[dist[nbrs] < 0])
             level += 1
             dist[frontier] = level
         return dist
@@ -428,7 +385,7 @@ class RadioNetwork:
 
         Notes
         -----
-        Every protocol engine routes its dict rounds through this method,
+        Every stage driver routes its dict rounds through this method,
         a thin adapter over the CSR kernel behind
         :meth:`resolve_round_vector`.  Downstream layers rely on its
         contract:
@@ -465,7 +422,7 @@ class RadioNetwork:
         """The reception rule as a per-transmitter neighbor scan.
 
         Same contract as :meth:`resolve_round`, computed independently of
-        the CSR kernel.  No engine runs it: it is the oracle the kernel
+        the CSR kernel.  No driver runs it: it is the oracle the kernel
         is checked against (``tests/test_rng_stream_order.py``, the
         differential gate of :mod:`repro.testing.differential`, and
         :func:`repro.radio.transcript.verify_transcript`).
@@ -528,20 +485,20 @@ class RadioNetwork:
 
         This is the one place that chooses between a driver's direct
         path and its dict loop.  Only when ``network`` is a
-        :class:`RadioNetwork` on the ``columnar`` engine whose dict
-        reception rule is this class's own: a subclass overriding
-        ``resolve_round`` (faults, SINR) or a proxy interposing on it
-        (recording, churn, dynamic faults) must see every round as a
-        dict.  A static method because proxies forward unknown
-        attributes to the network they wrap, so an instance method would
-        answer for the wrapped network.  ``RadioNetwork.resolve_round``
+        :class:`RadioNetwork` whose dict reception rule is this class's
+        own: a subclass overriding ``resolve_round`` (faults, SINR) or a
+        proxy interposing on it (recording, churn, dynamic faults) must
+        see every round as a dict.  Both paths draw the same randomness,
+        so the choice changes the speed of a run, never the run.  A
+        static method because proxies forward unknown attributes to the
+        network they wrap, so an instance method would answer for the
+        wrapped network.  ``RadioNetwork.resolve_round``
         is looked up at call time, so replacing the class attribute
         (tracing wrappers do) keeps the vector path.
         """
         return (
             isinstance(network, RadioNetwork)
             and type(network).resolve_round is RadioNetwork.resolve_round
-            and network.engine == "columnar"
         )
 
     def resolve_round_vector(

@@ -37,7 +37,7 @@ from repro.dynamic.continuous import (
     ContinuousPolicy,
     ContinuousResult,
 )
-from repro.radio.network import ENGINES, RadioNetwork
+from repro.radio.network import RadioNetwork
 from repro.radio.transcript import RecordingNetwork, TranscriptEntry
 from repro.resilience.byzantine import ByzantineSet
 from repro.resilience.network import DynamicFaultNetwork
@@ -199,19 +199,15 @@ def execute_campaign(
     policy: Optional[SupervisionPolicy] = None,
     params: Optional[AlgorithmParameters] = None,
     preset: str = "default",
-    engine: Optional[str] = None,
 ) -> TrialExecution:
     """Run one campaign end to end, recording both transcripts.
 
-    ``engine`` optionally overrides the simulation engine for the whole
-    fault stack.  The stack wraps the base network, so every stage runs
-    its dict loop and both engines give the identical execution; a
-    ``"reference"`` run replays bit-identically, round by round, against
+    The fault stack wraps the base network in a
+    :class:`~repro.radio.transcript.RecordingNetwork`, so every stage
+    runs its dict loop, and each recorded round can be replayed against
     the per-transmitter scan (:mod:`repro.testing.differential`).
     """
     base = build_topology_spec(campaign.topology)
-    if engine is not None:
-        base.set_engine(engine)
     packets = build_workload_spec(base, campaign.workload)
     # stack order: faults over transcript over churn over the channel —
     # the inner transcript records the churn-resolved receptions, which
@@ -276,12 +272,10 @@ def evaluate_campaign(
     params: Optional[AlgorithmParameters] = None,
     preset: str = "default",
     round_bound_factor: float = DEFAULT_ROUND_BOUND_FACTOR,
-    engine: Optional[str] = None,
 ) -> Tuple[TrialExecution, List[OracleVerdict]]:
     """Execute one campaign and run the full oracle catalog on it."""
     execution = execute_campaign(
-        campaign, policy=policy, params=params, preset=preset,
-        engine=engine,
+        campaign, policy=policy, params=params, preset=preset
     )
     return execution, run_oracles(
         execution, round_bound_factor=round_bound_factor
@@ -304,13 +298,6 @@ class CampaignConfig:
     round_bound_factor: float = DEFAULT_ROUND_BOUND_FACTOR
     max_stage_retries: int = 4
     max_reelections: int = 3
-    engine: str = "reference"
-
-    def __post_init__(self) -> None:
-        if self.engine not in ENGINES:
-            raise ValueError(
-                f"unknown engine {self.engine!r}; expected one of {ENGINES}"
-            )
 
     def to_json(self) -> dict:
         return {
@@ -322,7 +309,6 @@ class CampaignConfig:
             "round_bound_factor": self.round_bound_factor,
             "max_stage_retries": self.max_stage_retries,
             "max_reelections": self.max_reelections,
-            "engine": self.engine,
         }
 
     @classmethod
@@ -338,7 +324,6 @@ class CampaignConfig:
             ),
             max_stage_retries=int(data.get("max_stage_retries", 4)),
             max_reelections=int(data.get("max_reelections", 3)),
-            engine=str(data.get("engine", "reference")),
         )
 
 
@@ -365,7 +350,6 @@ def run_fuzz_trial(config: CampaignConfig, seed: int) -> dict:
         ),
         preset=config.preset,
         round_bound_factor=config.round_bound_factor,
-        engine=config.engine,
     )
     bad = violated(verdicts)
     summary = {
@@ -486,6 +470,7 @@ def run_campaign(
     checkpoint_dir: Optional[object] = None,
     orchestrator: Optional[object] = None,
     on_result=None,
+    spec: Optional[dict] = None,
 ) -> CampaignReport:
     """Fuzz ``trials`` consecutive seeds under the supervised orchestrator.
 
@@ -501,7 +486,10 @@ def run_campaign(
     retries, backoff, timeouts, fault injection); ``on_result`` streams
     each ``(seed, trial_dict)`` as it completes, which the CLI uses to
     write failure artifacts incrementally instead of holding them all
-    in RAM until the campaign ends.
+    in RAM until the campaign ends.  ``spec`` is the identity a
+    checkpoint must match (default :func:`campaign_spec` of ``config``);
+    :func:`resume_campaign` passes the journal's own, so a journal whose
+    config still names a retired field resumes.
     """
     from repro.experiments.orchestrator import (
         OrchestratorConfig,
@@ -517,7 +505,7 @@ def run_campaign(
         base_seed=base_seed,
         config=orch,
         checkpoint_dir=checkpoint_dir,
-        spec=campaign_spec(config),
+        spec=spec if spec is not None else campaign_spec(config),
         on_result=on_result,
     )
     return CampaignReport(
@@ -560,4 +548,5 @@ def resume_campaign(
         checkpoint_dir=checkpoint_dir,
         orchestrator=orchestrator,
         on_result=on_result,
+        spec=header.spec,
     )

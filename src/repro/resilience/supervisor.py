@@ -359,7 +359,6 @@ class SupervisedBroadcast:
                 adversary=adversary, byzantine=byzantine,
             )
         self.params = params or AlgorithmParameters()
-        self.params.apply_engine(self.net)
         self.byz = getattr(self.net, "byzantine", None)
         if self.byz is not None:
             self.byz.configure(

@@ -1,22 +1,20 @@
 """Differential testing of the reception kernel against the scan oracle.
 
-Every engine resolves its dict rounds through the one CSR reception
-kernel behind ``RadioNetwork.resolve_round``.
+Every dict round of a run is resolved by the one CSR reception kernel
+behind ``RadioNetwork.resolve_round``.
 ``RadioNetwork.resolve_round_scan`` states the same rule as a plain
 per-transmitter neighbor scan, and this module holds the kernel to it on
 whole executions, as data:
 
 - a :class:`DifferentialScenario` pins one complete execution — topology,
   workload, fault profile and every seed — as a serializable description;
-- :func:`run_scenario` replays it under one engine and reduces the
-  execution to digests and summaries (:class:`EngineRun`); both engines
-  must give equal runs;
-- :func:`replay_against_scan` runs it once under ``reference`` and
-  re-resolves every recorded pre-fault round through the scan, reporting
-  the first round whose received dict differs, receiver order included
-  (:class:`DifferentialReport`).
+- :func:`run_scenario` executes it and reduces the execution to digests
+  and summaries (:class:`EngineRun`);
+- :func:`replay_against_scan` re-resolves every recorded pre-fault round
+  of that run through the scan, reporting the first round whose received
+  dict differs, receiver order included (:class:`DifferentialReport`).
 
-One run plus a replay guarantees what running a scan-resolved engine
+One run plus a replay guarantees what running a scan-resolved simulator
 beside the kernel would: the resolver is the only code in which the two
 would differ, so if kernel and scan agree, order included, on every
 round the run executed, a scan-resolved run would make the same random
@@ -31,8 +29,11 @@ Everything funnels through the chaos-campaign executor, so the harness
 exercises the full stack: ``RecordingNetwork`` (inner transcript) →
 ``TranscribingFaultNetwork``/``DynamicFaultNetwork`` (fault injection,
 outer transcript) → ``SupervisedBroadcast`` (all four stages plus
-recovery).  A clean profile is a campaign with an empty fault schedule,
-which the supervisor documents as bit-identical to the plain engine.
+recovery).  Behind those wrappers every stage runs its dict loop, which
+the bare-network tests in ``tests/test_engine_equivalence.py`` hold to
+the direct path.  A clean profile is a campaign with an empty fault
+schedule, which the supervisor documents as bit-identical to the plain
+algorithm.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ import hashlib
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.radio.network import ENGINES, RadioNetwork
+from repro.radio.network import RadioNetwork
 from repro.radio.transcript import TranscriptEntry
 from repro.resilience.chaos.fuzzer import ChaosCampaign
 from repro.resilience.chaos.runner import execute_campaign
@@ -172,7 +173,6 @@ class EngineRun:
     """One scenario execution reduced to comparable artifacts."""
 
     scenario: str
-    engine: str
     inner_digest: str  #: physics-level transcript (pre-fault rounds)
     outer_digest: str  #: post-fault transcript (what protocols saw)
     inner_rounds: int
@@ -182,29 +182,23 @@ class EngineRun:
 
 
 def run_scenario(
-    scenario: DifferentialScenario, engine: str, execution=None
+    scenario: DifferentialScenario, execution=None
 ) -> Tuple[EngineRun, List[TranscriptEntry], List[TranscriptEntry]]:
-    """Execute ``scenario`` under ``engine``.
+    """Execute ``scenario``.
 
     Returns the reduced :class:`EngineRun` plus the raw inner and outer
     transcripts (kept so a failed comparison can point at the exact
     diverging round instead of just two hashes).
 
     ``execution`` optionally supplies an already-executed
-    :class:`~repro.resilience.chaos.runner.TrialExecution` for this
-    scenario/engine pair, so callers that also need the execution object
-    itself (:func:`replay_against_scan` re-resolves its base network's
-    rounds) can reduce it without running the campaign twice.
-
-    Both engines draw the same randomness, so the ``columnar`` and
-    ``reference`` runs of one scenario are equal in every field but
-    ``engine``.
+    :class:`~repro.resilience.chaos.runner.TrialExecution` of this
+    scenario, so callers that also need the execution object itself
+    (:func:`replay_against_scan` re-resolves its base network's rounds)
+    can reduce it without running the campaign twice.
     """
-    if engine not in ENGINES:
-        raise ValueError(f"unknown engine {engine!r}; expected {ENGINES}")
     if execution is None:
         execution = execute_campaign(
-            scenario.campaign(), preset=scenario.preset, engine=engine
+            scenario.campaign(), preset=scenario.preset
         )
     result = execution.result
     inner = execution.inner_transcript
@@ -235,7 +229,6 @@ def run_scenario(
     }
     run = EngineRun(
         scenario=scenario.name,
-        engine=engine,
         inner_digest=transcript_digest(inner),
         outer_digest=transcript_digest(outer),
         inner_rounds=len(inner),
@@ -253,7 +246,7 @@ def run_scenario(
 
 @dataclass
 class DifferentialReport:
-    """Outcome of one reference run replayed against the scan."""
+    """Outcome of one run replayed against the scan."""
 
     scenario: str
     equal: bool
@@ -264,7 +257,7 @@ class DifferentialReport:
         if self.equal:
             return (
                 f"{self.scenario}: kernel and scan identical on all "
-                f"{self.run.inner_rounds} rounds of the reference run"
+                f"{self.run.inner_rounds} rounds of the run"
             )
         return f"{self.scenario}: KERNEL DIVERGES FROM SCAN\n" + "\n".join(
             f"  - {d}" for d in self.divergences
@@ -291,10 +284,10 @@ def _first_scan_divergence(
 def replay_against_scan(
     scenario: DifferentialScenario, execution=None
 ) -> DifferentialReport:
-    """Run ``scenario`` under ``reference`` and re-resolve every inner
-    (pre-fault) round through :meth:`RadioNetwork.resolve_round_scan`.
+    """Run ``scenario`` and re-resolve every inner (pre-fault) round
+    through :meth:`RadioNetwork.resolve_round_scan`.
 
-    ``execution`` optionally supplies an already-executed ``reference``
+    ``execution`` optionally supplies an already-executed
     :class:`~repro.resilience.chaos.runner.TrialExecution` of
     ``scenario``, so a caller that inspects the run can share it with
     this replay.  The pinned scenarios have no churn layer, so the inner
@@ -302,9 +295,9 @@ def replay_against_scan(
     """
     if execution is None:
         execution = execute_campaign(
-            scenario.campaign(), preset=scenario.preset, engine="reference"
+            scenario.campaign(), preset=scenario.preset
         )
-    run, inner, _ = run_scenario(scenario, "reference", execution=execution)
+    run, inner, _ = run_scenario(scenario, execution=execution)
     divergence = _first_scan_divergence(execution.base_network, inner)
     return DifferentialReport(
         scenario=scenario.name,

@@ -3,8 +3,9 @@
 A run must finish within :data:`DEFAULT_BOUND_FACTOR` times the
 unit-constant Theorem 2 bound
 (:func:`repro.analysis.complexity.theorem2_total_bound`); the repository
-benchmark gates every execution with it.  The engines themselves are
-held to each other's digests (``tests/test_engine_equivalence.py``).
+benchmark gates every execution with it.  The direct paths and the
+dict loops are held to each other's digests
+(``tests/test_engine_equivalence.py``).
 """
 
 #: Absolute ceiling as a multiple of the unit-constant Theorem 2 bound;

@@ -261,6 +261,33 @@ class TestCheckpointedCampaign:
         )
         assert (tmp_path / "manifest.json").read_bytes() == before
 
+    def test_resume_accepts_journal_naming_the_retired_engine(
+        self, tmp_path
+    ):
+        """A journal written while ``CampaignConfig`` still had an
+        ``engine`` field (serialized as ``"engine": "reference"``)
+        loads and resumes: the key is ignored, and the resume checks
+        the journal against its own header."""
+        config = CampaignConfig()
+        full = run_campaign(config, trials=3, base_seed=0, max_workers=1)
+        run_campaign(
+            config, trials=3, base_seed=0, max_workers=1,
+            checkpoint_dir=tmp_path,
+        )
+        journal = tmp_path / "journal.jsonl"
+        header, first_trial = journal.read_text().splitlines()[:2]
+        head = json.loads(header)
+        head["spec"]["config"]["engine"] = "reference"
+        # interrupted after one trial, before the manifest
+        journal.write_text(json.dumps(head) + "\n" + first_trial + "\n")
+        (tmp_path / "manifest.json").unlink()
+        assert CampaignConfig.from_json(head["spec"]["config"]) == config
+        resumed = resume_campaign(tmp_path, max_workers=1)
+        assert resumed.orchestration["recovered"] == 1
+        assert resumed.trials == full.trials
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["spec"] == head["spec"]
+
     def test_resume_rejects_foreign_checkpoint(self, tmp_path):
         from repro.experiments.orchestrator import run_supervised
 

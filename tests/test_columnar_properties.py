@@ -1,7 +1,7 @@
 """Property tests pitting the columnar kernels against naive oracles.
 
 Hypothesis drives random topologies, transmit sets, and seeds through
-the vectorized building blocks the columnar engine is made of — the CSR
+the vectorized building blocks the direct paths are made of — the CSR
 reception resolver, the batched Decay schedule — and checks them against
 deliberately naive pure-Python reimplementations.  Degenerate shapes the
 array code paths are most likely to get wrong (no transmitters, isolated
@@ -14,8 +14,8 @@ Labelled (multi-round) resolution is checked against one
 Stronger, deterministic equivalences ride along, each down to the
 final generator state:
 
-- the columnar BFS driver is RNG-stream-identical to the reference
-  construction, so their parent/distance arrays must match *exactly*;
+- the BFS driver's direct path is RNG-stream-identical to its dict
+  loop, so their parent/distance arrays must match *exactly*;
 - the columnar flood's and election's direct (``resolve_round_vector``)
   and fallback (dict ``resolve_round`` through a proxy) modes consume
   the same RNG stream, so wrapping the network must not change any
@@ -299,10 +299,6 @@ def test_vector_capable_is_one_call_time_predicate(monkeypatch):
         FaultyRadioNetwork(net, erasure_prob=0.1, seed=1)
     )
     assert not RadioNetwork.vector_capable(object())
-    # The reference engine keeps every stage on its dict loop.
-    reference = grid(3, 3)
-    reference.set_engine("reference")
-    assert not RadioNetwork.vector_capable(reference)
     # Tracing replaces the class attribute with a wrapper; bare networks
     # must keep the vector path.
     original = RadioNetwork.resolve_round
@@ -429,15 +425,11 @@ def test_decay_matrix_rejects_unknown_variant():
     root=st.integers(min_value=0, max_value=10**9),
 )
 def test_columnar_bfs_identical_to_reference(net, seed, root):
-    """The columnar BFS consumes the reference construction's exact RNG
-    stream, so parents, distances, and round counts must all match."""
+    """The BFS direct path (one labelled resolution per phase) consumes
+    the dict loop's exact RNG stream, so parents, distances, and round
+    counts must all match."""
     root = root % net.n
-    import copy
-
-    ref_net = copy.deepcopy(net)
-    ref_net.set_engine("reference")
-    col_net = copy.deepcopy(net)
-    col_net.set_engine("columnar")
+    col_net, ref_net = _columnar_pair(net)
     ref_rng, col_rng = make_rng(seed), make_rng(seed)
     ref = build_distributed_bfs(ref_net, root, ref_rng)
     col = build_distributed_bfs(col_net, root, col_rng)
@@ -448,15 +440,11 @@ def test_columnar_bfs_identical_to_reference(net, seed, root):
 
 
 def _columnar_pair(net):
-    """Two columnar copies of ``net``: bare (direct path) and behind a
-    recording proxy (dict fallback)."""
+    """Two copies of ``net``: bare (direct path) and behind a recording
+    proxy (dict fallback)."""
     import copy
 
-    bare = copy.deepcopy(net)
-    bare.set_engine("columnar")
-    wrapped_base = copy.deepcopy(net)
-    wrapped_base.set_engine("columnar")
-    return bare, RecordingNetwork(wrapped_base)
+    return copy.deepcopy(net), RecordingNetwork(copy.deepcopy(net))
 
 
 @settings(max_examples=30, deadline=None)
@@ -547,11 +535,9 @@ def test_columnar_dissemination_direct_and_fallback_modes_agree(
     wrapped network must produce the identical Stage-4 outcome."""
 
     def make():
-        net = grid(6, 7) if topology == "grid" else random_geometric(
-            60, seed=seed
-        )
-        net.set_engine("columnar")
-        return net
+        if topology == "grid":
+            return grid(6, 7)
+        return random_geometric(60, seed=seed)
 
     bare = make()
     wrapped = RecordingNetwork(make())
@@ -560,9 +546,7 @@ def test_columnar_dissemination_direct_and_fallback_modes_agree(
     packets = make_packets(
         [root] * 20, required_packet_bits(bare.n), seed=seed
     )
-    params = AlgorithmParameters(engine="columnar").with_overrides(
-        **overrides
-    )
+    params = AlgorithmParameters().with_overrides(**overrides)
     direct_rng, fallback_rng = make_rng(seed), make_rng(seed)
     direct = run_dissemination_stage(
         bare, distance, root, packets, params, direct_rng

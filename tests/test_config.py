@@ -106,6 +106,20 @@ class TestPresetsAndOverrides:
         assert paper.root_plain_repetitions == 1
 
 
+class TestEngineField:
+    """``engine`` selects nothing; it survives so that
+    ``engine="columnar"`` call sites still construct."""
+
+    def test_columnar_and_none_construct(self):
+        assert AlgorithmParameters(engine="columnar").engine == "columnar"
+        assert AlgorithmParameters().engine is None
+
+    @pytest.mark.parametrize("name", ["reference", "fast", "warp"])
+    def test_other_names_raise(self, name):
+        with pytest.raises(ValueError, match="unknown engine"):
+            AlgorithmParameters(engine=name)
+
+
 class TestNodeIdsInOrchestrator:
     def test_leader_is_max_id_holder(self):
         from repro import MultipleMessageBroadcast

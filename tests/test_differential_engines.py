@@ -1,11 +1,11 @@
-"""Differential tests: on every pinned scenario, every round of a
-``reference`` run must re-resolve identically, receiver order included,
-under the per-transmitter scan oracle.
+"""Differential tests: on every pinned scenario, every round of the run
+must re-resolve identically, receiver order included, under the
+per-transmitter scan oracle.
 
 The scenario matrix (:data:`repro.testing.PINNED_SCENARIOS`) crosses
 three topology families (grid, random geometric, hypercube) with four
 fault profiles (clean, crash, jam, byzantine).  The reception kernel is
-the only code a scan-resolved engine would differ in, so agreement on
+the only code a scan-resolved simulator would differ in, so agreement on
 every executed round means such a run would draw the same randomness
 and produce the same transcripts, results and delivery sets.
 """
@@ -46,23 +46,17 @@ def test_scenario_by_name_round_trip_and_unknown():
         scenario_by_name("torus-meteor-strike")
 
 
-def test_run_scenario_rejects_unknown_engine():
-    for engine in ("turbo", "fast"):
-        with pytest.raises(ValueError, match="unknown engine"):
-            run_scenario(PINNED_SCENARIOS[0], engine)
-
-
 def test_fault_profiles_actually_fire():
     """Guard against a scenario matrix that silently degenerates to
     twelve clean runs: each profile must leave its fingerprint."""
-    crash, _, _ = run_scenario(scenario_by_name("grid-crash"), "reference")
+    crash, _, _ = run_scenario(scenario_by_name("grid-crash"))
     assert crash.result_summary["fault_stats"]["crashes"] == 2
 
-    jam, _, _ = run_scenario(scenario_by_name("grid-jam"), "reference")
+    jam, _, _ = run_scenario(scenario_by_name("grid-jam"))
     stats = jam.result_summary["fault_stats"]
     assert stats["rx_suppressed_jam"] + stats["rx_jammed_adversary"] > 0
 
-    byz, _, _ = run_scenario(scenario_by_name("grid-byzantine"), "reference")
+    byz, _, _ = run_scenario(scenario_by_name("grid-byzantine"))
     assert byz.result_summary["fault_stats"]["rows_poisoned"] > 0
     assert byz.result_summary["byzantine_rx_discarded"] > 0
 
@@ -81,8 +75,8 @@ def _reverse_first_multi_receiver_round(inner):
 
 def test_digest_is_order_sensitive():
     """The canonical serialization must distinguish reception order —
-    that ordering is part of the engine contract."""
-    _, inner, _ = run_scenario(scenario_by_name("grid-clean"), "reference")
+    that ordering is part of the resolver contract."""
+    _, inner, _ = run_scenario(scenario_by_name("grid-clean"))
     baseline = transcript_digest(inner)
     _reverse_first_multi_receiver_round(inner)
     assert transcript_digest(inner) != baseline
@@ -94,7 +88,7 @@ def test_scan_replay_and_verify_transcript_are_order_sensitive():
     receivers come out reversed, and name that round."""
     scenario = scenario_by_name("grid-clean")
     execution = execute_campaign(
-        scenario.campaign(), preset=scenario.preset, engine="reference"
+        scenario.campaign(), preset=scenario.preset
     )
     net, inner = execution.base_network, execution.inner_transcript
     assert replay_against_scan(scenario, execution=execution).equal

@@ -5,6 +5,7 @@ tests keep it honest: every indexed bench target exists, every bench file
 is indexed, and the other documents reference real files.
 """
 
+import importlib.util
 import re
 from pathlib import Path
 
@@ -44,6 +45,18 @@ class TestDesignIndex:
         assert design_ids, "no experiment ids found in DESIGN.md"
         missing = design_ids - exp_ids
         assert not missing, f"ids indexed but not recorded: {sorted(missing)}"
+
+
+class TestResults:
+    def test_results_md_is_the_collected_tables(self):
+        """RESULTS.md is exactly what ``collect_results.py`` builds from
+        the committed ``benchmarks/results/*.txt``."""
+        spec = importlib.util.spec_from_file_location(
+            "collect_results", REPO / "benchmarks" / "collect_results.py"
+        )
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        assert read("RESULTS.md") == module.collect()
 
 
 class TestReadme:

@@ -1,24 +1,22 @@
-"""The two engines give the identical run, and a trace does not change it.
+"""The direct path and the dict loop give the identical run, and a trace
+does not change it.
 
-Both engines run the same stage drivers, which draw their randomness in
-one canonical order; ``columnar`` only lets a driver take its direct
-(array) path on a bare network without a trace.  So the columnar engine
-is held to the reference engine's digests:
+Every stage driver has one direct (array) path, taken on a bare network
+with no trace, and one dict loop, taken everywhere else; both draw their
+randomness in one canonical order.  Full runs on bare networks are
+therefore held, down to the final generator state, to the same network
+behind a recording proxy (every dict loop) and to traced runs (every
+dict loop, observed): observing a run must not change it.  Counting
+``RadioNetwork.resolve_round_vector`` calls shows which path each run
+took.
 
-- on the 12 pinned scenarios (fault stacks, so every stage runs its dict
-  loop under either engine) the two runs are equal in every digest,
-  round count, summary and delivery set; on two of them the reference
-  run is also replayed against the per-transmitter scan, so reference,
-  scan and columnar are checked together;
-- full runs on bare networks (the direct paths under ``columnar``) equal
-  the reference engine's down to the final generator state, with and
-  without a trace attached: observing a run must not change it.
-
-A coin bias shared by the direct path and the dict loop would pass these;
-``PINNED_DIGEST`` and ``PINNED_COLUMNAR_DIRECT`` in
-``test_rng_stream_order.py`` pin the stream by value, and the oracles in
-``repro.primitives.reference`` and ``repro.core.reference`` share no
-coin code with the drivers.
+The fault stacks of the 12 pinned scenarios always run the dict loop;
+``test_differential_engines.py`` replays those runs against the
+per-transmitter scan.  A coin bias shared by the direct path and the
+dict loop would pass these; ``PINNED_DIGEST`` and
+``PINNED_COLUMNAR_DIRECT`` in ``test_rng_stream_order.py`` pin the
+stream by value, and the oracles in ``repro.primitives.reference`` and
+``repro.core.reference`` share no coin code with the drivers.
 """
 
 import dataclasses
@@ -30,44 +28,30 @@ import pytest
 
 from repro import MultipleMessageBroadcast, grid, uniform_random_placement
 from repro.core.config import AlgorithmParameters
-from repro.radio.network import ENGINES
-from repro.testing import (
-    PINNED_SCENARIOS,
-    replay_against_scan,
-    run_scenario,
-    scenario_by_name,
-)
+from repro.radio.network import RadioNetwork
+from repro.radio.transcript import RecordingNetwork
 from repro.topology import hypercube, random_geometric
 
 
-@pytest.mark.parametrize("scenario", PINNED_SCENARIOS, ids=lambda s: s.name)
-def test_columnar_run_equals_reference(scenario):
-    reference, _, _ = run_scenario(scenario, "reference")
-    columnar, _, _ = run_scenario(scenario, "columnar")
-    assert columnar.engine == "columnar"
-    assert dataclasses.replace(columnar, engine="reference") == reference
+@pytest.fixture
+def vector_calls(monkeypatch):
+    """Counts ``resolve_round_vector`` calls by replacing the class
+    attribute, as a tracing wrapper would."""
+    calls = []
+    original = RadioNetwork.resolve_round_vector
+
+    def counted(self, *args, **kwargs):
+        calls.append(None)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(RadioNetwork, "resolve_round_vector", counted)
+    return calls
 
 
-@pytest.mark.parametrize("name", ["grid-clean", "hypercube-byzantine"])
-def test_three_way_scan_replay_and_columnar_agree(name):
-    """Reference, scan and columnar on one scenario: every round of the
-    reference run re-resolves identically under the per-transmitter
-    scan, and the columnar run equals that same reference run."""
-    scenario = scenario_by_name(name)
-    replay = replay_against_scan(scenario)
-    assert replay.equal, replay.explain()
-    columnar, _, _ = run_scenario(scenario, "columnar")
-    assert dataclasses.replace(columnar, engine="reference") == replay.run
-
-
-def _run_record(make, k, packet_seed, run_seed, engine, keep_trace,
-                overrides=None):
+def _run_record(net, k, packet_seed, run_seed, keep_trace, overrides=None):
     """Everything a full run decides, and the final generator state."""
-    net = make()
     packets = uniform_random_placement(net, k=k, seed=packet_seed)
-    params = AlgorithmParameters(engine=engine).with_overrides(
-        **(overrides or {})
-    )
+    params = AlgorithmParameters().with_overrides(**(overrides or {}))
     proto = MultipleMessageBroadcast(
         net, params=params, seed=run_seed, keep_trace=keep_trace
     )
@@ -96,7 +80,14 @@ def _run_record(make, k, packet_seed, run_seed, engine, keep_trace,
     return json.loads(json.dumps(record, default=int))
 
 
-@pytest.mark.parametrize("engine", ENGINES)
+# Test ids keep the names of the retired engine option.  "reference"
+# puts a network behind a recording proxy, so every stage runs its dict
+# loop; "columnar" leaves it bare, so an untraced run takes every
+# direct path.
+PATHS = {"reference": RecordingNetwork, "columnar": lambda net: net}
+
+
+@pytest.mark.parametrize("path", list(PATHS))
 @pytest.mark.parametrize(
     "make, k, packet_seed",
     [
@@ -105,11 +96,15 @@ def _run_record(make, k, packet_seed, run_seed, engine, keep_trace,
     ],
     ids=["grid9x9-k12", "rgg80-k20"],
 )
-def test_trace_leaves_run_unchanged(make, k, packet_seed, engine):
+def test_trace_leaves_run_unchanged(make, k, packet_seed, path, vector_calls):
     """``keep_trace=True`` moves every stage to its dict loop; the run,
-    saturated BGI epochs included, must be the untraced one."""
-    untraced = _run_record(make, k, packet_seed, 3, engine, False)
-    traced = _run_record(make, k, packet_seed, 3, engine, True)
+    saturated BGI epochs included, must be the untraced one, whether
+    that took every direct path or every dict loop."""
+    untraced = _run_record(PATHS[path](make()), k, packet_seed, 3, False)
+    assert bool(vector_calls) == (path == "columnar")
+    vector_calls.clear()
+    traced = _run_record(make(), k, packet_seed, 3, True)
+    assert not vector_calls
     assert traced == untraced
 
 
@@ -136,16 +131,21 @@ OVERRIDES = {
     "make", list(NETWORKS.values()), ids=list(NETWORKS)
 )
 def test_bare_network_runs_equal_across_engines_and_traces(
-    make, overrides, seed
+    make, overrides, seed, vector_calls
 ):
-    """Four-stage runs with 40 packets: columnar untraced (every direct
-    path) against the reference engine and against traced runs.  The
-    uncoded and spacing-1 ablations need not succeed; they must agree."""
-    baseline = _run_record(make, 40, seed, seed, "columnar", False, overrides)
-    for engine in ENGINES:
-        for keep_trace in (False, True):
-            if (engine, keep_trace) == ("columnar", False):
-                continue
-            assert _run_record(
-                make, 40, seed, seed, engine, keep_trace, overrides
-            ) == baseline, (engine, keep_trace)
+    """Four-stage runs with 40 packets, three ways: untraced on the bare
+    network (every direct path), behind a recording proxy (every dict
+    loop) and traced (every dict loop, observed).  The uncoded and
+    spacing-1 ablations need not succeed; they must agree."""
+    direct = _run_record(make(), 40, seed, seed, False, overrides)
+    assert len(vector_calls) > 0
+    runs = {
+        "recorded": (RecordingNetwork(make()), False),
+        "traced": (make(), True),
+    }
+    for name, (net, keep_trace) in runs.items():
+        vector_calls.clear()
+        assert _run_record(
+            net, 40, seed, seed, keep_trace, overrides
+        ) == direct, name
+        assert not vector_calls, name

@@ -84,10 +84,9 @@ def test_full_pipeline_cell(net, workload_name, make):
         AlgorithmParameters(root_plain_repetitions=4),
         AlgorithmParameters(mspg_enabled=False,
                             max_collection_phases=60),
-        AlgorithmParameters(decay_variant="classic"),
     ],
     ids=["fast", "default", "paper", "opportunistic", "uncoded-fwd",
-         "spacing4", "window4", "root-reps", "no-mspg", "classic-decay"],
+         "spacing4", "window4", "root-reps", "no-mspg"],
 )
 def test_configuration_cell(params):
     net = grid(3, 4)

@@ -10,10 +10,10 @@ stream is pinned by digest so any future resolver change that silently
 reorders receptions (and thereby shifts every downstream random draw)
 fails loudly here.
 
-Both engines reproduce that digest.  The columnar engine's direct path
-(bare network, no trace) is pinned by value too, since the agreement
-tests in ``test_columnar_properties.py`` only compare it with its own
-dict loop.
+That digest is taken behind a recording proxy, so every stage runs its
+dict loop.  The direct path (bare network, no trace) is pinned by value
+too, since the agreement tests in ``test_columnar_properties.py`` and
+``test_engine_equivalence.py`` only compare it with the dict loop.
 """
 
 import hashlib
@@ -24,7 +24,7 @@ import pytest
 
 from repro import MultipleMessageBroadcast, grid, uniform_random_placement
 from repro.radio.faults import FaultyRadioNetwork
-from repro.radio.network import ENGINES, RadioNetwork
+from repro.radio.network import RadioNetwork
 from repro.radio.rng import make_rng
 from repro.radio.transcript import RecordingNetwork
 from repro.testing import transcript_digest
@@ -36,10 +36,10 @@ PINNED_DIGEST = "cff3ba645098bba27d8f358bfd24914297ad75bea6d913b72923d9a16612ddb
 PINNED_ROUNDS = 5707
 
 
-# Full columnar runs on bare networks (the direct path of every stage
-# driver), digested with the final generator state.  These pin the direct
-# path by value: a biased coin shared by the direct path and its dict
-# loop would pass every agreement test but move these digests.
+# Full runs on bare networks (the direct path of every stage driver),
+# digested with the final generator state.  These pin the direct path
+# by value: a biased coin shared by the direct path and its dict loop
+# would pass every agreement test but move these digests.
 PINNED_COLUMNAR_DIRECT = {
     "grid7x9-k12": (
         "69b08441832d6765cb28c2833949b37d29c9ceeb3282c27083202678c299b443"
@@ -48,6 +48,13 @@ PINNED_COLUMNAR_DIRECT = {
         "0970336a853112fcdfc9d593849d70afe4890e7c3de97cb5f7e399149e731b2d"
     ),
 }
+
+
+# Test ids keep the names of the retired engine option.  "reference"
+# puts a network behind a recording proxy, so every stage runs its dict
+# loop; "columnar" leaves it bare, so an untraced run takes every
+# direct path.
+PATHS = {"reference": RecordingNetwork, "columnar": lambda net: net}
 
 
 class ScanNetwork(RadioNetwork):
@@ -69,15 +76,15 @@ def _random_tx_patterns(net, trials=120, seed=1234):
         yield {int(v): f"m{int(v)}" for v in senders}
 
 
-@pytest.mark.parametrize("engine", ENGINES)
-def test_receivers_ascend(engine):
+@pytest.mark.parametrize("path", list(PATHS))
+def test_receivers_ascend(path):
     for net in _networks():
-        net.set_engine(engine)
+        net = PATHS[path](net)
         for tx in _random_tx_patterns(net):
             received = net.resolve_round(tx)
             keys = list(received)
             assert keys == sorted(keys), (
-                f"{net.name}/{engine}: receivers out of order: {keys}"
+                f"{net.name}/{path}: receivers out of order: {keys}"
             )
 
 
@@ -91,22 +98,20 @@ def test_engines_agree_on_random_patterns():
             )
 
 
-@pytest.mark.parametrize("engine", ENGINES)
-def test_fault_layer_rng_consumption_is_engine_invariant(engine):
+@pytest.mark.parametrize("path", list(PATHS))
+def test_fault_layer_rng_consumption_is_engine_invariant(path):
     """A jam/erasure layer draws per reception in iteration order; a
     fixed fault seed must therefore produce identical drops over the
-    kernel (under any engine) and over the scan (this is exactly what
-    ascending order buys us)."""
+    kernel (bare or behind a recording proxy) and over the scan (this
+    is exactly what ascending order buys us)."""
     base = grid(5, 5)
-    base.set_engine(engine)
     net = FaultyRadioNetwork(
-        base,
+        PATHS[path](base),
         erasure_prob=0.3,
         jammed_nodes=(3, 7, 12),
         jam_prob=0.5,
         seed=42,
     )
-    net.set_engine(engine)
     outcomes = []
     for tx in _random_tx_patterns(base, trials=60, seed=5):
         outcomes.append(sorted(net.resolve_round(tx).items()))
@@ -129,32 +134,42 @@ def test_fault_layer_rng_consumption_is_engine_invariant(engine):
     )
 
 
-# Both engines draw in one canonical order, so both must reproduce the
-# one pinned digest.  The recording proxy keeps every stage on its dict
-# loop; the direct paths are pinned by PINNED_COLUMNAR_DIRECT below.
-@pytest.mark.parametrize("engine", ENGINES)
-def test_pinned_end_to_end_digest(engine):
+def _pinned_run(net):
+    packets = uniform_random_placement(net, k=6, seed=3)
+    proto = MultipleMessageBroadcast(net, seed=11)
+    result = proto.run(packets)
+    assert result.success
+    return result, proto.rng.bit_generator.state
+
+
+@pytest.mark.parametrize("path", list(PATHS))
+def test_pinned_end_to_end_digest(path):
     """Full four-stage run, transcript digested round by round.
 
     The constant was computed at pin time and must be reproduced
     exactly.  A digest change means the RNG stream moved: bump the
     constant only for a deliberate, documented semantics change.
+
+    The transcript is recorded behind a recording proxy, which keeps
+    every stage on its dict loop.  Under ``columnar`` the same run on
+    the bare network (every direct path, no transcript) must also end
+    in the recorded run's per-stage rounds and generator state; the
+    direct paths are pinned by value by PINNED_COLUMNAR_DIRECT below.
     """
-    net = grid(4, 5)
-    net.set_engine(engine)
-    rec = RecordingNetwork(net)
-    packets = uniform_random_placement(rec, k=6, seed=3)
-    result = MultipleMessageBroadcast(rec, seed=11).run(packets)
-    assert result.success
-    assert result.total_rounds == PINNED_ROUNDS
+    rec = RecordingNetwork(grid(4, 5))
+    recorded, recorded_rng = _pinned_run(rec)
+    assert recorded.total_rounds == PINNED_ROUNDS
     assert transcript_digest(rec.transcript) == PINNED_DIGEST
+    if path == "columnar":
+        direct, direct_rng = _pinned_run(grid(4, 5))
+        assert direct.timing == recorded.timing
+        assert direct_rng == recorded_rng
 
 
 def _columnar_direct_digest(net, k, packet_seed, run_seed):
     """sha256 over per-stage rounds, leader, claimants and beliefs, the
     BFS tree, ``has_group``, the Stage-4 counters and the final
-    generator state of one columnar run on a bare network."""
-    net.set_engine("columnar")
+    generator state of one run on a bare network (every direct path)."""
     packets = uniform_random_placement(net, k=k, seed=packet_seed)
     proto = MultipleMessageBroadcast(net, seed=run_seed)
     result = proto.run(packets)
