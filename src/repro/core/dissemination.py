@@ -562,7 +562,15 @@ def run_dissemination_stage(
         authentication counters are provably zero here.
         """
         nonlocal innovative_rx
-        receivers, entries, _ = network.resolve_round_vector(tx_ids, labels)
+        # The dict loop resolves a slot only when someone transmits in
+        # it: relabel the slots used, in order, as consecutive rounds,
+        # so a network with a clock counts the same rounds.
+        used = np.zeros(phase_length, dtype=bool)
+        used[labels] = True
+        call = np.cumsum(used) - 1
+        receivers, entries, _ = network.resolve_round_vector(
+            tx_ids, call[labels], int(call[-1]) + 1
+        )
         rx_group = tx_group[entries]
         keep = ~has_group[receivers, rx_group]
         if not params.opportunistic_decoding:
@@ -589,17 +597,19 @@ def run_dissemination_stage(
         )
         has_group[receivers[done], rx_group[done]] = True
 
-    # On a vector-capable network (no trace, no blacklist) the FORWARD
-    # phase is the unit of resolution and the Decay epoch the unit of
-    # drawing: see draw_phase_direct and absorb_phase.  A node joins a
-    # transmitter set only in the phase after it decodes (Lemma 3) and
-    # the phase schedule is fixed (Lemma 7), so no transmit decision of
-    # a phase depends on that phase's receptions.  Every other network
-    # gets sealed wire tuples resolved slot by slot through
+    # On a vector-capable network (a bare one, or a fault layer whose
+    # faults are masks; no trace, no blacklist) the FORWARD phase is the
+    # unit of resolution and the Decay epoch the unit of drawing: see
+    # draw_phase_direct and absorb_phase.  A node joins a transmitter
+    # set only in the phase after it decodes (Lemma 3) and the phase
+    # schedule is fixed (Lemma 7), so no transmit decision of a phase
+    # depends on that phase's receptions.  Every other network gets
+    # sealed wire tuples resolved slot by slot through
     # ``network.resolve_round`` and verified by process_received; there
     # the masks keep one draw per slot and group, because a fault layer
-    # may share the generator.  Both paths draw each epoch's coin
-    # matrices (one per group) first, then its masks slot by slot.
+    # that drops receptions at random may share the generator.  Both
+    # paths draw each epoch's coin matrices (one per group) first, then
+    # its masks slot by slot.
     direct = (
         RadioNetwork.vector_capable(network)
         and trace is None
@@ -709,12 +719,7 @@ def run_dissemination_stage(
         for v, j in touched:
             try_complete(v, j)
 
-    failed = [
-        (v, j)
-        for v in range(n)
-        for j in range(g)
-        if not has_group[v, j]
-    ]
+    failed = list(map(tuple, np.argwhere(~has_group[:, :g]).tolist()))
     quarantined = sum(len(d.quarantined) for d in decoders.values())
     return DisseminationResult(
         rounds=rounds,

@@ -72,15 +72,19 @@ def build_distributed_bfs(
     -----
     Each epoch's coin flips come from one :func:`decay_transmit_matrix`
     draw over the frontier, followed by the epoch's slots.  On a
-    :meth:`~RadioNetwork.vector_capable` network without a trace the
-    phase is the unit of work: its frontier is fixed, so all of its
-    epochs' coin matrices are drawn first and every slot of the phase is
-    resolved by one labelled :meth:`RadioNetwork.resolve_round_vector`
-    call (see :func:`_bfs_phase_direct`).  Every other network gets real
-    per-slot dicts, so fault interference and transcripts are preserved.
-    The two orders consume the same stream unless a fault layer shares
-    the protocol's generator (``SupervisedBroadcast`` does), which is why
-    the dict loop draws an epoch's coins right before its slots.
+    :meth:`~RadioNetwork.vector_capable` network without a trace (a bare
+    network, or a fault layer whose faults are masks) the phase is the
+    unit of work: its frontier is fixed, so all of its epochs' coin
+    matrices are drawn first and every slot of the phase is resolved by
+    one labelled :meth:`RadioNetwork.resolve_round_vector` call (see
+    :func:`_bfs_phase_direct`) that stands for the phase's
+    ``epochs_per_phase · slots`` rounds.  Every other network gets real
+    per-slot dicts, so randomized faults and transcripts are preserved.
+    The dict loop draws an epoch's coins right before its slots because
+    a fault layer there may draw jam drops from the protocol's generator
+    (``SupervisedBroadcast`` shares it when seeded with one); a layer on
+    the direct path draws nothing, so both orders consume the same
+    stream.
     """
     n = network.n
     if not 0 <= root < n:
@@ -175,7 +179,7 @@ def _bfs_phase_direct(
         return  # a zero-epoch phase elapses silently
     tx_ids = np.concatenate(tx)
     receivers, entries, _ = network.resolve_round_vector(
-        tx_ids, np.concatenate(labels)
+        tx_ids, np.concatenate(labels), epochs_per_phase * num_slots
     )
     fresh = distance[receivers] < 0
     adopters, first = _sorted_unique(receivers[fresh], return_index=True)

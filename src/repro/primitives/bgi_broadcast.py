@@ -94,14 +94,16 @@ def bgi_broadcast(
     On a :meth:`~RadioNetwork.vector_capable` network without a trace
     the epoch is the unit of work: its participant set is fixed, so one
     labelled :meth:`RadioNetwork.resolve_round_vector` call resolves all
-    of its slots.  Before that call, participants with no uninformed
-    neighbour are dropped (their coins are still drawn): such a
-    transmission reaches only informed nodes, and removing it can only
-    turn collisions at informed nodes into receptions there.  Every
-    other network (fault wrappers, proxies) gets real transmission
-    dicts, slot by slot, so fault modeling and transcript recording see
-    every round.  Both paths draw the same
-    stream.
+    of its slots.  On a bare network, participants with no uninformed
+    neighbour are dropped before that call (their coins are still
+    drawn): such a transmission reaches only informed nodes, and
+    removing it can only turn collisions at informed nodes into
+    receptions there.  A fault layer on the direct path (crashes, link
+    faults and certain jams as masks) gets every participant, because
+    it counts the receptions it drops at informed nodes too.  Every
+    other network (randomized or adversarial faults, proxies) gets real
+    transmission dicts, slot by slot, so fault modeling and transcript
+    recording see every round.  Both paths draw the same stream.
     """
     source_list = sorted(set(int(s) for s in sources))
     informed = np.zeros(network.n, dtype=bool)
@@ -127,7 +129,10 @@ def bgi_broadcast(
         )
 
     direct = RadioNetwork.vector_capable(network) and trace is None
-    if direct:
+    # A fault layer counts receptions at informed nodes, so only a bare
+    # network's participants are pruned.
+    prune = direct and isinstance(network, RadioNetwork)
+    if prune:
         # uninformed[v]: how many neighbours of v are not yet informed
         uninformed = np.diff(network.csr_adjacency()[0]) - np.bincount(
             network.gather_neighbors(np.flatnonzero(informed)),
@@ -144,14 +149,18 @@ def bgi_broadcast(
         participants = np.flatnonzero(informed)
         coins = decay_transmit_matrix(participants.size, rng, num_slots)
         if direct:
-            coins &= uninformed[participants] > 0
+            if prune:
+                coins &= uninformed[participants] > 0
             slot, idx = np.nonzero(coins)
             receivers, _, _ = network.resolve_round_vector(
-                participants[idx], slot
+                participants[idx], slot, num_slots
             )
             fresh = _sorted_unique(receivers[~informed[receivers]])
             informed[fresh] = True
-            np.subtract.at(uninformed, network.gather_neighbors(fresh), 1)
+            if prune:
+                np.subtract.at(
+                    uninformed, network.gather_neighbors(fresh), 1
+                )
         else:
             for slot in range(num_slots):
                 tx = participants[coins[slot]]

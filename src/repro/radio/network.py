@@ -484,25 +484,33 @@ class RadioNetwork:
         :meth:`resolve_round_vector` instead of :meth:`resolve_round`?
 
         This is the one place that chooses between a driver's direct
-        path and its dict loop.  Only when ``network`` is a
-        :class:`RadioNetwork` whose dict reception rule is this class's
-        own: a subclass overriding ``resolve_round`` (faults, SINR) or a
-        proxy interposing on it (recording, churn, dynamic faults) must
-        see every round as a dict.  Both paths draw the same randomness,
-        so the choice changes the speed of a run, never the run.  A
-        static method because proxies forward unknown attributes to the
-        network they wrap, so an instance method would answer for the
-        wrapped network.  ``RadioNetwork.resolve_round``
-        is looked up at call time, so replacing the class attribute
-        (tracing wrappers do) keeps the vector path.
+        path and its dict loop.  A :class:`RadioNetwork` qualifies when
+        its dict reception rule is this class's own: a subclass
+        overriding ``resolve_round`` (faults, SINR) must see every round
+        as a dict.  Any other object qualifies only when its class
+        defines ``admits_vector_path`` and that says yes for it: a
+        :class:`~repro.resilience.network.DynamicFaultNetwork` whose
+        crashes, link faults and certain jams are masks on the kernel
+        (see its docstring).  Every other proxy (recording, churn)
+        sees every round as a dict.  Both paths draw the same
+        randomness, so the choice changes the speed of a run, never the
+        run.  A static method, and the hook looked up on the class,
+        because proxies forward unknown attributes to the network they
+        wrap, so an instance lookup would answer for the wrapped
+        network.  ``resolve_round`` is looked up at call time, so
+        replacing the class attribute (tracing wrappers do) keeps the
+        vector path.
         """
-        return (
-            isinstance(network, RadioNetwork)
-            and type(network).resolve_round is RadioNetwork.resolve_round
-        )
+        if isinstance(network, RadioNetwork):
+            return type(network).resolve_round is RadioNetwork.resolve_round
+        admits = getattr(type(network), "admits_vector_path", None)
+        return admits is not None and admits(network)
 
     def resolve_round_vector(
-        self, tx_ids: np.ndarray, rounds: Optional[np.ndarray] = None
+        self,
+        tx_ids: np.ndarray,
+        rounds: Optional[np.ndarray] = None,
+        num_rounds: Optional[int] = None,
     ) -> Tuple[np.ndarray, ...]:
         """Array-native reception: who hears whom, with no dict round-trip.
 
@@ -517,6 +525,11 @@ class RadioNetwork:
             ``tx_ids``.  Entries sharing a label form one round, and
             every round is resolved independently in the same pass; a
             node may transmit in several rounds, at most once per round.
+        num_rounds:
+            How many consecutive rounds the labels stand for (labels lie
+            in ``[0, num_rounds)``; a round nobody transmits in still
+            elapses).  A network has no clock, so only layers that keep
+            one read it (a fault layer advances its clock by it).
 
         Returns
         -------
