@@ -28,6 +28,7 @@ the stage length is deterministic:
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
@@ -485,13 +486,13 @@ def run_dissemination_stage(
     ) -> Optional[List[np.ndarray]]:
         """Draw one direct-mode phase, a Decay epoch at a time.
 
-        Per epoch: the per-group coin matrices (one
-        :func:`decay_transmit_matrix` call each, as in the dict loop),
-        then one ``rng.integers`` call for all of the epoch's subset
-        masks, or packet picks when uncoded, in (slot, group, sender)
-        order.  Returns the slot, group, sender and value of every
-        transmission of the phase, the root's plain packets included,
-        or None when the phase is silent.
+        Per epoch: one block-form :func:`decay_transmit_matrix` call for
+        the coins of every group (a block per group, as in the dict
+        loop), then one ``rng.integers`` call for all of the epoch's
+        subset masks, or packet picks when uncoded, in (slot, group,
+        sender) order.  Returns the slot, group, sender and value of
+        every transmission of the phase, the root's plain packets
+        included, or None when the phase is silent.
         """
         nonlocal coded_tx, plain_tx
         labels: List[np.ndarray] = []
@@ -508,11 +509,7 @@ def run_dissemination_stage(
                 sizes,
             )
             for epoch in range(epochs):
-                coins = np.concatenate(
-                    [decay_transmit_matrix(senders.size, rng, slots)
-                     for _, _, senders, _ in fsets],
-                    axis=1,
-                )
+                coins = decay_transmit_matrix(sizes, rng, slots)
                 slot, col = np.nonzero(coins)  # (slot, group, sender) order
                 if col.size == 0:
                     continue
@@ -536,6 +533,21 @@ def run_dissemination_stage(
             return None
         return [np.concatenate(a) for a in (labels, tx_group, tx_ids, tx_vals)]
 
+    def near_deficient(phase: int, late_groups: np.ndarray) -> np.ndarray:
+        """The closed neighbourhood of the *deficient* nodes: those that
+        may accept a row of a group in ``late_groups`` this phase and do
+        not have that group yet."""
+        deficient = np.zeros(n, dtype=bool)
+        for j in late_groups.tolist():
+            if params.opportunistic_decoding:
+                deficient |= ~has_group[:, j]
+            else:
+                lay = layers[phase - spacing * j]
+                deficient[lay[~has_group[lay, j]]] = True
+        near = deficient.copy()
+        near[network.gather_neighbors(np.flatnonzero(deficient))] = True
+        return near
+
     def absorb_phase(
         phase: int,
         root_group: int,
@@ -550,52 +562,77 @@ def run_dissemination_stage(
 
         ``labels``, ``tx_group``, ``tx_ids`` and ``tx_vals`` hold the
         slot, group, sender and mask (or packet index) of every
-        transmission of the phase.  One labelled
-        :meth:`RadioNetwork.resolve_round_vector` call resolves every
-        round of the phase; receptions are attributed to groups through
-        the transmitting entry.  Plain packets set bits in
+        transmission of the phase.  A labelled
+        :meth:`RadioNetwork.resolve_round_vector` call resolves a window
+        of the phase's rounds; receptions are attributed to groups
+        through the transmitting entry.  Plain packets set bits in
         ``plain_bits``; coded rows go through one
         :func:`gf2_absorb_batch` elimination into the payload-free RREF
         ``pivots`` (honest rows are always span-consistent, so rank
         alone decides completion, and the rank gain is the innovative
         count in any absorption order).  All integrity and
         authentication counters are provably zero here.
+
+        A fault layer gets the whole phase in one window, because it
+        counts the receptions it drops.  A bare network gets two: the
+        first ``first_window`` slots, after which every pair at full
+        rank (or with every plain bit) joins ``has_group``, then the
+        rest, restricted to transmissions whose sender is a deficient
+        node or its neighbour (:func:`near_deficient`).  A deficient
+        node thus keeps every transmission of its closed neighbourhood
+        and hears, or loses to a collision, exactly what it would in
+        the whole phase; every reception dropped was one the layer
+        filter drops or a row of zero rank gain.
         """
         nonlocal innovative_rx
-        # The dict loop resolves a slot only when someone transmits in
-        # it: relabel the slots used, in order, as consecutive rounds,
-        # so a network with a clock counts the same rounds.
-        used = np.zeros(phase_length, dtype=bool)
-        used[labels] = True
-        call = np.cumsum(used) - 1
-        receivers, entries, _ = network.resolve_round_vector(
-            tx_ids, call[labels], int(call[-1]) + 1
-        )
-        rx_group = tx_group[entries]
-        keep = ~has_group[receivers, rx_group]
-        if not params.opportunistic_decoding:
-            keep &= dist[receivers] == phase - spacing * rx_group
-        receivers = receivers[keep]
-        rx_group = rx_group[keep]
-        vals = tx_vals[entries[keep]].astype(np.uint64)
-        block = (rx_group % in_flight) * n + receivers
-        if params.coding_enabled:
-            coded = rx_group != root_group
-            innovative_rx += int(
-                gf2_absorb_batch(pivots, block[coded], vals[coded]).sum()
-            )
+        if prune:
+            late = labels >= first_window
+            windows = [np.flatnonzero(~late), np.flatnonzero(late)]
         else:
-            coded = np.zeros(receivers.size, dtype=bool)
-        plain = ~coded
-        np.bitwise_or.at(
-            plain_bits, block[plain], np.uint64(1) << vals[plain]
-        )
-        done = np.where(
-            coded,
-            np.count_nonzero(pivots[block], axis=1) == group_size[rx_group],
-            plain_bits[block] == full_mask[rx_group],
-        )
-        has_group[receivers[done], rx_group[done]] = True
+            windows = [np.arange(labels.size)]
+        for second, idx in enumerate(windows):
+            if second:
+                late_groups = np.flatnonzero(np.bincount(tx_group[idx]))
+                idx = idx[near_deficient(phase, late_groups)[tx_ids[idx]]]
+            if idx.size == 0:
+                continue
+            # The dict loop resolves a slot only when someone transmits
+            # in it: relabel the slots used, in order, as consecutive
+            # rounds, so a network with a clock counts the same rounds.
+            slot = labels[idx]
+            used = np.zeros(phase_length, dtype=bool)
+            used[slot] = True
+            call = np.cumsum(used) - 1
+            receivers, entries, _ = network.resolve_round_vector(
+                tx_ids[idx], call[slot], int(call[-1]) + 1
+            )
+            entries = idx[entries]
+            rx_group = tx_group[entries]
+            keep = ~has_group[receivers, rx_group]
+            if not params.opportunistic_decoding:
+                keep &= dist[receivers] == phase - spacing * rx_group
+            receivers = receivers[keep]
+            rx_group = rx_group[keep]
+            vals = tx_vals[entries[keep]].astype(np.uint64)
+            block = (rx_group % in_flight) * n + receivers
+            if params.coding_enabled:
+                coded = rx_group != root_group
+                innovative_rx += int(
+                    gf2_absorb_batch(pivots, block[coded], vals[coded]).sum()
+                )
+            else:
+                coded = np.zeros(receivers.size, dtype=bool)
+            plain = ~coded
+            np.bitwise_or.at(
+                plain_bits, block[plain], np.uint64(1) << vals[plain]
+            )
+            done = np.where(
+                coded,
+                np.count_nonzero(pivots[block], axis=1)
+                == group_size[rx_group],
+                plain_bits[block] == full_mask[rx_group],
+            )
+            has_group[receivers[done], rx_group[done]] = True
 
     # On a vector-capable network (a bare one, or a fault layer whose
     # faults are masks; no trace, no blacklist) the FORWARD phase is the
@@ -608,12 +645,19 @@ def run_dissemination_stage(
     # ``network.resolve_round`` and verified by process_received; there
     # the masks keep one draw per slot and group, because a fault layer
     # that drops receptions at random may share the generator.  Both
-    # paths draw each epoch's coin matrices (one per group) first, then
-    # its masks slot by slot.
+    # paths draw each epoch's coins first, in one block-form call with
+    # a block per group, then its masks slot by slot.
     direct = (
         RadioNetwork.vector_capable(network)
         and trace is None
         and not blacklist
+    )
+    # A fault layer counts the receptions it drops, so only a bare
+    # network's phases are split and pruned (see absorb_phase).  The
+    # first window is the phase at forward_epochs_factor 1.
+    prune = direct and isinstance(network, RadioNetwork)
+    first_window = slots * min(
+        epochs, max(1, math.ceil(width + params.forward_surplus))
     )
     n_decay = epochs * slots
     if direct:
@@ -655,21 +699,20 @@ def run_dissemination_stage(
 
         gs_root = len(groups[root_group]) if root_group >= 0 else 0
         touched: Set[Tuple[int, int]] = set()
-        epoch_coins: Dict[int, np.ndarray] = {}
+        sizes = [senders.size for _, _, senders, _ in fsets]
+        ends = list(itertools.accumulate(sizes))
+        columns = list(zip([0] + ends, ends))  # group fsets[i]'s coins
         for slot in range(phase_length):
             in_decay = slot < n_decay
             epoch_slot = slot % slots
-            if in_decay and epoch_slot == 0:
-                for j, d, senders, gs in fsets:
-                    epoch_coins[j] = decay_transmit_matrix(
-                        senders.size, rng, slots
-                    )
+            if in_decay and epoch_slot == 0 and fsets:
+                coins = decay_transmit_matrix(sizes, rng, slots)
 
             root_tx = root_group >= 0 and slot < gs_root * reps
             tx_entries: List[Tuple[int, int, np.ndarray, np.ndarray, int]] = []
             if in_decay:
-                for j, d, senders, gs in fsets:
-                    hot = senders[epoch_coins[j][epoch_slot]]
+                for (j, d, senders, gs), (lo, hi) in zip(fsets, columns):
+                    hot = senders[coins[epoch_slot, lo:hi]]
                     if hot.size == 0:
                         continue
                     if params.coding_enabled:

@@ -74,9 +74,10 @@ def build_distributed_bfs(
     draw over the frontier, followed by the epoch's slots.  On a
     :meth:`~RadioNetwork.vector_capable` network without a trace (a bare
     network, or a fault layer whose faults are masks) the phase is the
-    unit of work: its frontier is fixed, so all of its epochs' coin
-    matrices are drawn first and every slot of the phase is resolved by
-    one labelled :meth:`RadioNetwork.resolve_round_vector` call (see
+    unit of work: its frontier is fixed, so all of its epochs' coins
+    are drawn first, in one block-form call, and every slot of the
+    phase is resolved by one labelled
+    :meth:`RadioNetwork.resolve_round_vector` call (see
     :func:`_bfs_phase_direct`) that stands for the phase's
     ``epochs_per_phase · slots`` rounds.  Every other network gets real
     per-slot dicts, so randomized faults and transcripts are preserved.
@@ -162,24 +163,23 @@ def _bfs_phase_direct(
     """Run one BFS phase with a single labelled reception call.
 
     Newly reached nodes only transmit from the next phase on, so no
-    transmit decision of the phase depends on its receptions.  Slot
-    ``epoch·num_slots + s`` labels each transmission; labelled output is
-    sorted by (label, receiver), so the first occurrence of a receiver
-    is its earliest reception, whose sender it adopts — as the per-slot
-    loop does.
+    transmit decision of the phase depends on its receptions, and
+    nothing is drawn between its epochs: one block-form
+    :func:`decay_transmit_matrix` call, one frontier-sized block per
+    epoch, draws the whole phase.  Slot ``epoch·num_slots + s`` labels
+    each transmission; labelled output is sorted by (label, receiver),
+    so the first occurrence of a receiver is its earliest reception,
+    whose sender it adopts — as the per-slot loop does.
     """
-    tx: List[np.ndarray] = []
-    labels: List[np.ndarray] = []
-    for epoch in range(epochs_per_phase):
-        coins = decay_transmit_matrix(frontier.size, rng, num_slots)
-        slot, idx = np.nonzero(coins)
-        tx.append(frontier[idx])
-        labels.append(slot + epoch * num_slots)
-    if not tx:
+    if not epochs_per_phase:
         return  # a zero-epoch phase elapses silently
-    tx_ids = np.concatenate(tx)
+    m = frontier.size
+    coins = decay_transmit_matrix([m] * epochs_per_phase, rng, num_slots)
+    slot, col = np.nonzero(coins)
+    epoch, idx = np.divmod(col, m)
+    tx_ids = frontier[idx]
     receivers, entries, _ = network.resolve_round_vector(
-        tx_ids, np.concatenate(labels), epochs_per_phase * num_slots
+        tx_ids, slot + epoch * num_slots, epochs_per_phase * num_slots
     )
     fresh = distance[receivers] < 0
     adopters, first = _sorted_unique(receivers[fresh], return_index=True)

@@ -14,8 +14,9 @@ success probability and both are exposed for the E12 experiment.
 
 from __future__ import annotations
 
+import functools
 import math
-from typing import Callable, Dict, Iterable, List, Optional, Sequence
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -44,8 +45,19 @@ def transmission_probabilities(num_slots: int) -> List[float]:
     return [2.0 ** -(s + 1) for s in range(num_slots)]
 
 
+@functools.lru_cache(maxsize=64)
+def _probability_column(num_slots: int) -> np.ndarray:
+    """:func:`transmission_probabilities` as a read-only ``(num_slots,
+    1)`` column, built once per slot count."""
+    column = np.array(
+        transmission_probabilities(num_slots), dtype=np.float64
+    )[:, None]
+    column.flags.writeable = False
+    return column
+
+
 def decay_transmit_matrix(
-    num_participants: int,
+    num_participants: Union[int, Sequence[int]],
     rng: np.random.Generator,
     num_slots: int,
     variant: str = "independent",
@@ -62,21 +74,39 @@ def decay_transmit_matrix(
     (BGI, BFS, Stage 4) draw every Decay epoch as this matrix;
     :func:`run_decay_epoch` is the per-slot form that tree repair and
     aggregation use.
+
+    ``num_participants`` may also be a sequence of block sizes
+    ``[m1, m2, ...]``.  One call then stands for consecutive calls, one
+    per block, and returns their matrices side by side: columns
+    ``[m1, m1 + m2)`` are the second block's.  One ``rng`` call of the
+    total size fills the blocks' draws back to back, so the stream and
+    every decision are those of the per-block calls.  Stage 4 draws an
+    epoch's groups this way, and BFS the epochs of a phase.
     """
-    m = int(num_participants)
-    if variant == "independent":
-        if m == 0:
-            return np.zeros((num_slots, 0), dtype=bool)
-        probs = np.array(
-            transmission_probabilities(num_slots), dtype=np.float64
-        )
-        return rng.random((num_slots, m)) < probs[:, None]
+    if np.ndim(num_participants) == 0:
+        sizes = [int(num_participants)]
+    else:
+        sizes = [int(m) for m in num_participants]
+    total = sum(sizes)
+    if variant not in ("independent", "classic"):
+        raise ValueError(f"unknown Decay variant {variant!r}")
+    if total == 0:
+        return np.zeros((num_slots, 0), dtype=bool)
     if variant == "classic":
-        if m == 0:
-            return np.zeros((num_slots, 0), dtype=bool)
-        stops = rng.geometric(0.5, size=m)
+        stops = rng.geometric(0.5, size=total)
         return np.arange(num_slots)[:, None] < stops[None, :]
-    raise ValueError(f"unknown Decay variant {variant!r}")
+    draws = rng.random(num_slots * total)
+    if len(sizes) == 1:
+        draws = draws.reshape(num_slots, total)
+    else:
+        blocks = []
+        start = 0
+        for m in sizes:
+            stop = start + num_slots * m
+            blocks.append(draws[start:stop].reshape(num_slots, m))
+            start = stop
+        draws = np.concatenate(blocks, axis=1)
+    return draws < _probability_column(num_slots)
 
 
 def run_decay_epoch(

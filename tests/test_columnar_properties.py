@@ -317,12 +317,19 @@ def test_vector_capable_is_one_call_time_predicate(monkeypatch):
 @settings(max_examples=60, deadline=None)
 @given(
     m=st.integers(min_value=0, max_value=40),
+    blocks=st.lists(st.integers(min_value=0, max_value=12), max_size=6),
     num_slots=st.integers(min_value=1, max_value=8),
     seed=st.integers(min_value=0, max_value=2**31 - 1),
 )
-def test_decay_matrix_bit_identical_to_per_slot_draws(m, num_slots, seed):
+def test_decay_matrix_bit_identical_to_per_slot_draws(
+    m, blocks, num_slots, seed
+):
     """The independent variant consumes the exact per-slot RNG stream:
-    row s of the matrix equals the s-th sequential ``rng.random(m)``."""
+    row s of the matrix equals the s-th sequential ``rng.random(m)``.
+
+    The block form over sizes ``blocks`` is consecutive per-block draws
+    side by side, element for element, in both variants, and leaves the
+    generator where the per-block draws leave it."""
     probs = transmission_probabilities(num_slots)
     matrix = decay_transmit_matrix(m, make_rng(seed), num_slots)
     assert matrix.shape == (num_slots, m)
@@ -330,6 +337,23 @@ def test_decay_matrix_bit_identical_to_per_slot_draws(m, num_slots, seed):
     for s in range(num_slots):
         expected = oracle_rng.random(m) < probs[s]
         assert (matrix[s] == expected).all()
+
+    column = np.array(probs)[:, None]
+    for variant in ("independent", "classic"):
+        rng = make_rng(seed)
+        matrix = decay_transmit_matrix(blocks, rng, num_slots, variant)
+        oracle_rng = make_rng(seed)
+        expected = np.zeros((num_slots, 0), dtype=bool)
+        for size in blocks:
+            if variant == "independent":
+                block = oracle_rng.random((num_slots, size)) < column
+            else:
+                stops = oracle_rng.geometric(0.5, size=size)
+                block = np.arange(num_slots)[:, None] < stops[None, :]
+            expected = np.concatenate([expected, block], axis=1)
+        assert matrix.shape == (num_slots, sum(blocks))
+        assert (matrix == expected).all()
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state
 
 
 MASK_HIGHS = [1, 2, 3, 2**32, 2**40]

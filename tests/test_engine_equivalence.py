@@ -8,7 +8,8 @@ therefore held, down to the final generator state, to the same network
 behind a recording proxy (every dict loop) and to traced runs (every
 dict loop, observed): observing a run must not change it.  Counting
 ``RadioNetwork.resolve_round_vector`` calls shows which path each run
-took.
+took.  Counting the transmissions Stage 4 hands that kernel shows its
+second-window prune at work on a bare network.
 
 The fault stacks of the 12 pinned scenarios always run the dict loop;
 ``test_differential_engines.py`` replays those runs against the
@@ -27,6 +28,7 @@ import numpy as np
 import pytest
 
 from repro import MultipleMessageBroadcast, grid, uniform_random_placement
+from repro.core import multibroadcast
 from repro.core.config import AlgorithmParameters
 from repro.radio.network import RadioNetwork
 from repro.radio.transcript import RecordingNetwork
@@ -123,13 +125,25 @@ OVERRIDES = {
 }
 
 
-@pytest.mark.parametrize("seed", [0, 1])
-@pytest.mark.parametrize(
-    "overrides", list(OVERRIDES.values()), ids=list(OVERRIDES)
-)
-@pytest.mark.parametrize(
-    "make", list(NETWORKS.values()), ids=list(NETWORKS)
-)
+MATRIX = [
+    pytest.param(make, overrides, seed, id=f"{net}-{name}-{seed}")
+    for net, make in NETWORKS.items()
+    for name, overrides in OVERRIDES.items()
+    for seed in (0, 1)
+] + [
+    # Only spacing 1 lets a Stage-4 receiver transmit for another group
+    # in the same phase.  These two runs tell apart a second-window
+    # prune that drops a deficient node's own transmissions, which
+    # changes what it hears (half-duplex); no other input does.
+    pytest.param(
+        lambda: grid(9, 9), OVERRIDES["spacing1-reps2"], seed,
+        id=f"grid9x9-spacing1-reps2-{seed}",
+    )
+    for seed in (2, 3)
+]
+
+
+@pytest.mark.parametrize("make, overrides, seed", MATRIX)
 def test_bare_network_runs_equal_across_engines_and_traces(
     make, overrides, seed, vector_calls
 ):
@@ -149,3 +163,61 @@ def test_bare_network_runs_equal_across_engines_and_traces(
             net, 40, seed, seed, keep_trace, overrides
         ) == direct, name
         assert not vector_calls, name
+
+
+@pytest.fixture
+def stage4_kernel_tx(monkeypatch):
+    """Counts the transmissions handed to ``resolve_round_vector`` while
+    Stage 4 runs: the kernel's class attribute is replaced, as in
+    ``vector_calls``, and so is ``run_dissemination_stage`` where
+    ``MultipleMessageBroadcast`` looks it up."""
+    count = [0]
+    inside = [False]
+    original = RadioNetwork.resolve_round_vector
+
+    def counted(self, tx_ids, *args, **kwargs):
+        if inside[0]:
+            count[0] += len(tx_ids)
+        return original(self, tx_ids, *args, **kwargs)
+
+    stage = multibroadcast.run_dissemination_stage
+
+    def watched(*args, **kwargs):
+        inside[0] = True
+        try:
+            return stage(*args, **kwargs)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(RadioNetwork, "resolve_round_vector", counted)
+    monkeypatch.setattr(multibroadcast, "run_dissemination_stage", watched)
+    return count
+
+
+@pytest.mark.parametrize(
+    "make, overrides",
+    [
+        (lambda: grid(13, 9), OVERRIDES["defaults"]),
+        (lambda: grid(13, 9), OVERRIDES["uncoded"]),
+        (lambda: random_geometric(120, seed=3), OVERRIDES["opportunistic"]),
+        (lambda: grid(9, 9), OVERRIDES["spacing1-reps2"]),
+    ],
+    ids=["grid13x9", "grid13x9-uncoded", "rgg120-opportunistic",
+         "grid9x9-spacing1-reps2"],
+)
+def test_stage4_kernel_gets_only_receptions_a_decoder_can_use(
+    make, overrides, stage4_kernel_tx
+):
+    """On a bare network, the second window of each FORWARD phase hands
+    the kernel only transmissions near a node still lacking a group in
+    flight, so Stage 4's kernel sees fewer transmissions than Stage 4
+    drew; the run is still its dict-loop twin's."""
+    direct = _run_record(make(), 40, 2, 2, False, overrides)
+    coded, _, plain = direct["counters"]
+    assert 0 < stage4_kernel_tx[0] < coded + plain
+    stage4_kernel_tx[0] = 0
+    recorded = _run_record(
+        RecordingNetwork(make()), 40, 2, 2, False, overrides
+    )
+    assert stage4_kernel_tx[0] == 0
+    assert recorded == direct
