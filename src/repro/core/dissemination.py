@@ -45,7 +45,11 @@ from repro.coding.integrity import (
 from repro.coding.gf2 import gf2_absorb_batch
 from repro.coding.packets import CodedMessage, Packet
 from repro.core.config import AlgorithmParameters
-from repro.primitives.decay import decay_slots, decay_transmit_matrix
+from repro.primitives.decay import (
+    decay_block_layout,
+    decay_slots,
+    decay_transmit_matrix,
+)
 from repro.radio.errors import ProtocolError
 from repro.radio.network import RadioNetwork
 from repro.radio.trace import RoundTrace
@@ -54,6 +58,11 @@ from repro.radio.trace import RoundTrace
 #: ``width = ⌈log n⌉`` in every real configuration, so the table is ~n
 #: entries; the cap only guards hand-built parameter sets.
 _XOR_TABLE_MAX_WIDTH = 20
+
+#: Widest group the direct path draws: a float32 carries 24 random bits
+#: of the 32-bit word a subset mask is cut from (``width <= 24`` means
+#: n <= 2^24).
+_CARRIER_MAX_WIDTH = 24
 
 
 @dataclass
@@ -484,15 +493,28 @@ def run_dissemination_stage(
     def draw_phase_direct(
         root_group: int, fsets: List[Tuple[int, int, np.ndarray, int]]
     ) -> Optional[List[np.ndarray]]:
-        """Draw one direct-mode phase, a Decay epoch at a time.
+        """Draw one direct-mode phase on the dict loop's stream.
 
-        Per epoch: one block-form :func:`decay_transmit_matrix` call for
-        the coins of every group (a block per group, as in the dict
-        loop), then one ``rng.integers`` call for all of the epoch's
-        subset masks, or packet picks when uncoded, in (slot, group,
-        sender) order.  Returns the slot, group, sender and value of
-        every transmission of the phase, the root's plain packets
-        included, or None when the phase is silent.
+        The loop runs once per Decay epoch, because an epoch's masks lie
+        between its coins and the next epoch's.  Per epoch it draws the
+        coins of every group into one reused row, as the dict loop's
+        block-form :func:`decay_transmit_matrix` call does (a block per
+        group), and keeps them flat as bools, compared with
+        :func:`decay_block_layout`'s thresholds.  It then draws one
+        value per transmission in (slot, group, sender) order.  Coded,
+        that is a float32 *carrier*: numpy draws both a float32 and an
+        ``rng.integers(0, 1 << gs)`` mask from one 32-bit word (Lemire's
+        method never rejects on a power-of-two range, and keeps the
+        word's top ``gs`` bits; the float keeps its top 24), so for
+        ``gs <= 24`` the mask is ``floor(carrier · 2^gs)``.  Uncoded
+        packet picks may reject, so they come from one ``rng.integers``
+        call over per-element highs.  Once per phase, one reorder puts
+        the coins in (epoch, slot, group, sender) order and one
+        ``flatnonzero`` finds the transmissions.
+
+        Returns the slot, group, sender and value of every transmission
+        of the phase, the root's plain packets included, or None when
+        the phase is silent.
         """
         nonlocal coded_tx, plain_tx
         labels: List[np.ndarray] = []
@@ -501,26 +523,49 @@ def run_dissemination_stage(
         tx_vals: List[np.ndarray] = []
         if fsets:
             sizes = [senders.size for _, _, senders, _ in fsets]
+            total = sum(sizes)
             col_sender = np.concatenate([s for _, _, s, _ in fsets])
             col_group = np.repeat([j for j, _, _, _ in fsets], sizes)
+            coding = params.coding_enabled
             col_high = np.repeat(
-                [1 << gs if params.coding_enabled else gs
-                 for _, _, _, gs in fsets],
-                sizes,
+                [1 << gs if coding else gs for _, _, _, gs in fsets], sizes
             )
+            thresholds, slot_major = decay_block_layout(sizes, slots)
+            row = np.empty(slots * total)
+            coins = np.empty((epochs, slots * total), dtype=bool)
+            if coding:
+                carriers = np.empty(coins.size, dtype=np.float32)
+            else:
+                picks: List[np.ndarray] = []
+            drawn = 0
             for epoch in range(epochs):
-                coins = decay_transmit_matrix(sizes, rng, slots)
-                slot, col = np.nonzero(coins)  # (slot, group, sender) order
-                if col.size == 0:
+                rng.random(out=row)
+                np.less(row, thresholds, out=coins[epoch])
+                count = int(np.count_nonzero(coins[epoch]))
+                if not count:
                     continue
-                labels.append(slot + epoch * slots)
+                if coding:
+                    rng.random(
+                        out=carriers[drawn:drawn + count], dtype=np.float32
+                    )
+                else:
+                    col = np.flatnonzero(coins[epoch][slot_major]) % total
+                    picks.append(rng.integers(0, col_high[col]))
+                drawn += count
+            if drawn:
+                if len(fsets) > 1:
+                    coins = coins[:, slot_major]
+                label, col = np.divmod(np.flatnonzero(coins), total)
+                labels.append(label)
                 tx_group.append(col_group[col])
                 tx_ids.append(col_sender[col])
-                tx_vals.append(rng.integers(0, col_high[col]))
-                if params.coding_enabled:
-                    coded_tx += col.size
+                if coding:
+                    high = col_high[col].astype(np.float32)
+                    tx_vals.append((carriers[:drawn] * high).astype(np.int64))
+                    coded_tx += drawn
                 else:
-                    plain_tx += col.size
+                    tx_vals.append(np.concatenate(picks))
+                    plain_tx += drawn
         if root_group >= 0:
             gs_root = len(groups[root_group])
             root_slots = np.arange(min(gs_root * reps, phase_length))
@@ -636,7 +681,8 @@ def run_dissemination_stage(
 
     # On a vector-capable network (a bare one, or a fault layer whose
     # faults are masks; no trace, no blacklist) the FORWARD phase is the
-    # unit of resolution and the Decay epoch the unit of drawing: see
+    # unit of resolution and of finding transmissions; the Decay epoch
+    # is the unit of drawing, one coin row and one mask draw each: see
     # draw_phase_direct and absorb_phase.  A node joins a transmitter
     # set only in the phase after it decodes (Lemma 3) and the phase
     # schedule is fixed (Lemma 7), so no transmit decision of a phase
@@ -645,12 +691,14 @@ def run_dissemination_stage(
     # ``network.resolve_round`` and verified by process_received; there
     # the masks keep one draw per slot and group, because a fault layer
     # that drops receptions at random may share the generator.  Both
-    # paths draw each epoch's coins first, in one block-form call with
-    # a block per group, then its masks slot by slot.
+    # paths draw each epoch's coins first, a block per group on one
+    # stream, then its masks in slot order; the direct path's float32
+    # carriers hold 24 bits, so a wider group takes the dict loop.
     direct = (
         RadioNetwork.vector_capable(network)
         and trace is None
         and not blacklist
+        and width <= _CARRIER_MAX_WIDTH
     )
     # A fault layer counts the receptions it drops, so only a bare
     # network's phases are split and pruned (see absorb_phase).  The

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -56,6 +56,36 @@ def _probability_column(num_slots: int) -> np.ndarray:
     return column
 
 
+def decay_block_layout(
+    sizes: Sequence[int], num_slots: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Where the block form of :func:`decay_transmit_matrix` draws.
+
+    A block-form call over ``sizes`` draws ``num_slots * sum(sizes)``
+    doubles in one ``rng.random`` call: block ``i`` takes the next
+    ``num_slots * sizes[i]`` of them, slot by slot.  Returns
+    ``(thresholds, slot_major)``: ``draws < thresholds`` are the call's
+    coins in that draw order, and ``slot_major`` lists the draws in the
+    matrix's row-major (slot, column) order, so ``(draws <
+    thresholds)[slot_major]`` reshaped to ``(num_slots, sum(sizes))`` is
+    the matrix.  With one block ``slot_major`` is the identity.  A
+    caller that keeps many epochs' coins flat reorders them all at once.
+    """
+    sizes = np.asarray(sizes, dtype=np.int64)
+    total = int(sizes.sum())
+    block = np.repeat(np.arange(sizes.size), sizes)  # column -> block
+    start = np.cumsum(sizes)[block] - sizes[block]
+    # Column c of block i sits at draw num_slots·start + s·size + (c -
+    # start) in slot s.
+    slot_major = (
+        (num_slots - 1) * start + np.arange(total)
+        + np.arange(num_slots)[:, None] * sizes[block]
+    )
+    thresholds = np.empty(num_slots * total)
+    thresholds[slot_major] = _probability_column(num_slots)
+    return thresholds, slot_major.ravel()
+
+
 def decay_transmit_matrix(
     num_participants: Union[int, Sequence[int]],
     rng: np.random.Generator,
@@ -70,8 +100,8 @@ def decay_transmit_matrix(
     ``rng.random((num_slots, m))`` fills rows sequentially (C order), so
     row ``s`` holds exactly the ``m`` doubles the per-slot
     ``rng.random(m)`` call would have drawn, and the classic variant's
-    geometric stops are drawn once up front in both.  The stage drivers
-    (BGI, BFS, Stage 4) draw every Decay epoch as this matrix;
+    geometric stops are drawn once up front in both.  BGI, BFS and
+    Stage 4's dict loop draw every Decay epoch as this matrix;
     :func:`run_decay_epoch` is the per-slot form that tree repair and
     aggregation use.
 
@@ -80,8 +110,11 @@ def decay_transmit_matrix(
     per block, and returns their matrices side by side: columns
     ``[m1, m1 + m2)`` are the second block's.  One ``rng`` call of the
     total size fills the blocks' draws back to back, so the stream and
-    every decision are those of the per-block calls.  Stage 4 draws an
-    epoch's groups this way, and BFS the epochs of a phase.
+    every decision are those of the per-block calls.  Stage 4's dict
+    loop draws an epoch's groups this way, and BFS the epochs of a
+    phase.  Stage 4's direct path draws the same stream into a flat
+    buffer per epoch and compares it with :func:`decay_block_layout`'s
+    thresholds, so it makes no call here.
     """
     if np.ndim(num_participants) == 0:
         sizes = [int(num_participants)]

@@ -20,11 +20,14 @@ final generator state:
   and fallback (dict ``resolve_round`` through a proxy) modes consume
   the same RNG stream, so wrapping the network must not change any
   outcome;
-- so do the columnar Stage-4 driver's direct mode (epoch-batched mask
-  draws, phase-batched resolution and GF(2) elimination) and its
-  fallback (wire tuples and hardened decoders, slot by slot), which
-  rests on the numpy property pinned by
-  ``test_epoch_batched_integer_draws_match_per_slot_calls``.
+- so do the columnar Stage-4 driver's direct mode (flat coin rows,
+  epoch-batched mask draws, phase-batched resolution and GF(2)
+  elimination) and its fallback (wire tuples and hardened decoders,
+  slot by slot), which rests on the numpy properties pinned by
+  ``test_float32_carriers_match_power_of_two_mask_draws`` and
+  ``test_epoch_batched_integer_draws_match_per_slot_calls``, and on
+  the layout pinned by
+  ``test_flat_coin_rows_match_block_form_decay_matrix``.
 """
 
 import numpy as np
@@ -38,6 +41,7 @@ from repro.core.dissemination import run_dissemination_stage
 from repro.primitives.bfs import build_distributed_bfs
 from repro.primitives.bgi_broadcast import bgi_broadcast
 from repro.primitives.decay import (
+    decay_block_layout,
     decay_transmit_matrix,
     transmission_probabilities,
 )
@@ -382,7 +386,7 @@ MASK_HIGHS = [1, 2, 3, 2**32, 2**40]
     ),
 )
 def test_epoch_batched_integer_draws_match_per_slot_calls(seed, epochs):
-    """Columnar Stage 4 draws an epoch's subset masks with one
+    """Columnar Stage 4 draws an epoch's uncoded packet picks with one
     ``rng.integers`` call over per-element highs, where its fallback
     makes one call per slot and group.  The two are the same stream
     because numpy draws bounded integers element by element and PCG64
@@ -409,6 +413,88 @@ def test_epoch_batched_integer_draws_match_per_slot_calls(seed, epochs):
             got = batched.integers(0, highs)
             assert np.array_equal(got, np.concatenate(expected))
         assert batched.bit_generator.state == per_slot.bit_generator.state
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**63 - 1),
+    epochs=st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=12),  # coin doubles
+            st.lists(  # one mask call per slot and group: (width, size)
+                st.tuples(
+                    st.integers(min_value=1, max_value=24),
+                    st.integers(min_value=0, max_value=7),
+                ),
+                max_size=6,
+            ),
+        ),
+        max_size=6,
+    ),
+)
+def test_float32_carriers_match_power_of_two_mask_draws(seed, epochs):
+    """Columnar Stage 4 draws an epoch's subset masks as one float32
+    *carrier* each, ``floor(carrier · 2^gs)``, where its fallback makes
+    one ``rng.integers(0, 1 << gs)`` call per slot and group.  Both take
+    one 32-bit word per element: Lemire's method never rejects on a
+    power-of-two range and keeps the word's top ``gs`` bits, and a
+    float32 keeps its top 24.  Epochs with an odd or zero count leave
+    PCG64's spare half-word for the next epoch's call, across coin
+    doubles, which take whole 64-bit words."""
+    per_call, carried = make_rng(seed), make_rng(seed)
+    for doubles, calls in epochs:
+        coins = per_call.random(doubles)
+        assert np.array_equal(carried.random(doubles), coins)
+        expected = [
+            per_call.integers(0, 1 << gs, size=size)
+            for gs, size in calls
+            if size
+        ]
+        widths = np.array(
+            [gs for gs, size in calls for _ in range(size)], dtype=np.int64
+        )
+        carriers = carried.random(widths.size, dtype=np.float32)
+        got = (carriers * np.left_shift(1, widths).astype(np.float32)).astype(
+            np.int64
+        )
+        if expected:
+            assert np.array_equal(got, np.concatenate(expected))
+        assert carried.bit_generator.state == per_call.bit_generator.state
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    blocks=st.lists(st.integers(min_value=0, max_value=12), max_size=6),
+    num_slots=st.integers(min_value=1, max_value=8),
+    epochs=st.integers(min_value=1, max_value=4),
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+)
+def test_flat_coin_rows_match_block_form_decay_matrix(
+    blocks, num_slots, epochs, seed
+):
+    """Columnar Stage 4 draws each epoch's coins into one flat row and
+    keeps them in draw order, compared with
+    :func:`decay_block_layout`'s thresholds; reordered once by its
+    ``slot_major`` permutation, they are the block-form
+    :func:`decay_transmit_matrix` of every epoch, zero-size blocks
+    included, on the same stream."""
+    thresholds, slot_major = decay_block_layout(blocks, num_slots)
+    total = sum(blocks)
+    assert thresholds.shape == slot_major.shape == (num_slots * total,)
+    assert np.array_equal(np.sort(slot_major), np.arange(num_slots * total))
+    by_matrix, by_row = make_rng(seed), make_rng(seed)
+    expected = [
+        decay_transmit_matrix(blocks, by_matrix, num_slots)
+        for _ in range(epochs)
+    ]
+    row = np.empty(num_slots * total)
+    coins = np.empty((epochs, num_slots * total), dtype=bool)
+    for epoch in range(epochs):
+        by_row.random(out=row)
+        np.less(row, thresholds, out=coins[epoch])
+    got = coins[:, slot_major].reshape(epochs, num_slots, total)
+    assert np.array_equal(got, np.stack(expected))
+    assert by_row.bit_generator.state == by_matrix.bit_generator.state
 
 
 @settings(max_examples=60, deadline=None)

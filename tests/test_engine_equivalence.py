@@ -9,7 +9,9 @@ behind a recording proxy (every dict loop) and to traced runs (every
 dict loop, observed): observing a run must not change it.  Counting
 ``RadioNetwork.resolve_round_vector`` calls shows which path each run
 took.  Counting the transmissions Stage 4 hands that kernel shows its
-second-window prune at work on a bare network.
+second-window prune at work on a bare network, and counting its calls
+shows a group too wide for the direct path's mask draw sent to the
+dict loop.
 
 The fault stacks of the 12 pinned scenarios always run the dict loop;
 ``test_differential_engines.py`` replays those runs against the
@@ -166,18 +168,20 @@ def test_bare_network_runs_equal_across_engines_and_traces(
 
 
 @pytest.fixture
-def stage4_kernel_tx(monkeypatch):
-    """Counts the transmissions handed to ``resolve_round_vector`` while
-    Stage 4 runs: the kernel's class attribute is replaced, as in
-    ``vector_calls``, and so is ``run_dissemination_stage`` where
-    ``MultipleMessageBroadcast`` looks it up."""
-    count = [0]
+def stage4_kernel(monkeypatch):
+    """Counts the ``resolve_round_vector`` calls, and the transmissions
+    handed to them, while Stage 4 runs: the kernel's class attribute is
+    replaced, as in ``vector_calls``, and so is
+    ``run_dissemination_stage`` where ``MultipleMessageBroadcast`` looks
+    it up."""
+    count = {"calls": 0, "tx": 0}
     inside = [False]
     original = RadioNetwork.resolve_round_vector
 
     def counted(self, tx_ids, *args, **kwargs):
         if inside[0]:
-            count[0] += len(tx_ids)
+            count["calls"] += 1
+            count["tx"] += len(tx_ids)
         return original(self, tx_ids, *args, **kwargs)
 
     stage = multibroadcast.run_dissemination_stage
@@ -206,7 +210,7 @@ def stage4_kernel_tx(monkeypatch):
          "grid9x9-spacing1-reps2"],
 )
 def test_stage4_kernel_gets_only_receptions_a_decoder_can_use(
-    make, overrides, stage4_kernel_tx
+    make, overrides, stage4_kernel
 ):
     """On a bare network, the second window of each FORWARD phase hands
     the kernel only transmissions near a node still lacking a group in
@@ -214,10 +218,31 @@ def test_stage4_kernel_gets_only_receptions_a_decoder_can_use(
     drew; the run is still its dict-loop twin's."""
     direct = _run_record(make(), 40, 2, 2, False, overrides)
     coded, _, plain = direct["counters"]
-    assert 0 < stage4_kernel_tx[0] < coded + plain
-    stage4_kernel_tx[0] = 0
+    assert 0 < stage4_kernel["tx"] < coded + plain
+    stage4_kernel["tx"] = 0
     recorded = _run_record(
         RecordingNetwork(make()), 40, 2, 2, False, overrides
     )
-    assert stage4_kernel_tx[0] == 0
+    assert stage4_kernel["tx"] == 0
+    assert recorded == direct
+
+
+def test_groups_wider_than_a_float32_carrier_take_the_dict_loop(
+    monkeypatch, vector_calls, stage4_kernel
+):
+    """The direct path cuts each subset mask from a float32 carrier,
+    which holds 24 random bits, so a group of 25 packets (n > 2^24)
+    sends Stage 4 to its dict loop even on a bare network.  The other
+    stages keep their direct paths, and the run is its recorded twin's
+    in every field."""
+    monkeypatch.setattr(
+        AlgorithmParameters, "group_width", lambda self, n: 25
+    )
+    direct = _run_record(grid(8, 8), 40, 1, 1, False)
+    assert direct["counters"][0] > 0
+    assert len(vector_calls) > 0
+    assert stage4_kernel["calls"] == 0
+    vector_calls.clear()
+    recorded = _run_record(RecordingNetwork(grid(8, 8)), 40, 1, 1, False)
+    assert not vector_calls
     assert recorded == direct
