@@ -335,29 +335,26 @@ def gf2_absorb_batch(
     m[np.repeat(lanes, counts),
       width + np.arange(ids.size) - np.repeat(starts, counts)] = rows[order]
 
-    free = np.ones(m.shape, dtype=bool)  # not yet chosen as a pivot
-    pivot_at = np.full((touched.size, width), -1, dtype=np.int64)
     one = np.uint64(1)
+    free = np.ones(m.shape, dtype=np.uint64)  # 1: not yet a pivot
+    # pivot_at[i, b]: lane i's pivot row for bit b; held[i, b]: it has one
+    pivot_at = np.empty((touched.size, width), dtype=np.int64)
+    held = np.empty((touched.size, width), dtype=np.uint64)
     for b in range(width):
-        bit = ((m >> np.uint64(b)) & one).astype(bool)
+        bit = (m >> np.uint64(b)) & one
         cand = bit & free
         first = cand.argmax(axis=1)
         found = cand[lanes, first]
-        if not found.any():
-            continue
-        at = lanes[found]
-        col = first[found]
-        free[at, col] = False
-        pivot_at[at, b] = col
-        clear = bit[at]
-        clear[np.arange(at.size), col] = False
-        m[at] ^= np.where(clear, m[at, col][:, None], np.uint64(0))
+        # zero where a lane has no candidate, so its XOR below is a no-op
+        piv = m[lanes, first] * found
+        bit[lanes, first] = 0
+        m ^= bit * piv[:, None]
+        free[lanes, first] ^= found
+        pivot_at[:, b] = first
+        held[:, b] = found
 
-    held = pivot_at >= 0
     before = np.count_nonzero(pivots[touched], axis=1)
-    pivots[touched] = np.where(
-        held, m[lanes[:, None], np.maximum(pivot_at, 0)], np.uint64(0)
-    )
+    pivots[touched] = m[lanes[:, None], pivot_at] * held
     gain[touched] = np.count_nonzero(held, axis=1) - before
     return gain
 

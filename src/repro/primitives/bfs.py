@@ -79,7 +79,8 @@ def build_distributed_bfs(
     phase is resolved by one labelled
     :meth:`RadioNetwork.resolve_round_vector` call (see
     :func:`_bfs_phase_direct`) that stands for the phase's
-    ``epochs_per_phase · slots`` rounds.  Every other network gets real
+    ``epochs_per_phase · slots`` rounds, with the unreached nodes as its
+    only listeners.  Every other network gets real
     per-slot dicts, so randomized faults and transcripts are preserved.
     The dict loop draws an epoch's coins right before its slots because
     a fault layer there may draw jam drops from the protocol's generator
@@ -169,7 +170,8 @@ def _bfs_phase_direct(
     epoch, draws the whole phase.  Slot ``epoch·num_slots + s`` labels
     each transmission; labelled output is sorted by (label, receiver),
     so the first occurrence of a receiver is its earliest reception,
-    whose sender it adopts — as the per-slot loop does.
+    whose sender it adopts — as the per-slot loop does.  Only unreached
+    nodes listen, so every receiver adopts.
     """
     if not epochs_per_phase:
         return  # a zero-epoch phase elapses silently
@@ -179,9 +181,9 @@ def _bfs_phase_direct(
     epoch, idx = np.divmod(col, m)
     tx_ids = frontier[idx]
     receivers, entries, _ = network.resolve_round_vector(
-        tx_ids, slot + epoch * num_slots, epochs_per_phase * num_slots
+        tx_ids, slot + epoch * num_slots, epochs_per_phase * num_slots,
+        listeners=distance < 0,
     )
-    fresh = distance[receivers] < 0
-    adopters, first = _sorted_unique(receivers[fresh], return_index=True)
-    parent[adopters] = tx_ids[entries[fresh][first]]
+    adopters, first = _sorted_unique(receivers, return_index=True)
+    parent[adopters] = tx_ids[entries[first]]
     distance[adopters] = phase + 1

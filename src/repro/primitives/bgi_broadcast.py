@@ -19,7 +19,11 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from repro.primitives.decay import decay_slots, decay_transmit_matrix
+from repro.primitives.decay import (
+    _probability_column,
+    decay_slots,
+    decay_transmit_matrix,
+)
 from repro.radio.network import RadioNetwork, _sorted_unique
 from repro.radio.trace import RoundTrace
 
@@ -85,25 +89,33 @@ def bgi_broadcast(
     -----
     All informed nodes participate in every epoch, exactly as in the BGI
     protocol; "informed" spreads monotonically.  Each epoch's transmit
-    decisions come from one :func:`decay_transmit_matrix` draw over the
-    participants.  Once every node is informed, the remaining budgeted
-    epochs are charged to the round counter without being simulated,
-    with or without a trace: by the monotonicity of "informed" they
-    cannot change any state, so their coins are never drawn.
+    decisions come from the stream of one :func:`decay_transmit_matrix`
+    draw over the participants.  Once every node is informed, the
+    remaining budgeted epochs are charged to the round counter without
+    being simulated, with or without a trace: by the monotonicity of
+    "informed" they cannot change any state, so their coins are never
+    drawn.
 
     On a :meth:`~RadioNetwork.vector_capable` network without a trace
     the epoch is the unit of work: its participant set is fixed, so one
     labelled :meth:`RadioNetwork.resolve_round_vector` call resolves all
-    of its slots.  On a bare network, participants with no uninformed
-    neighbour are dropped before that call (their coins are still
-    drawn): such a transmission reaches only informed nodes, and
+    of its slots, and only the uninformed nodes listen.  The epoch's
+    doubles come from one ``rng.random(out=...)`` into a ``(slots,
+    participants)`` view of a reused row, the stream
+    :func:`decay_transmit_matrix` would draw, so this path makes no call
+    to it.  On a bare network only the frontier, the participants with
+    an uninformed neighbour, has its coins compared and its
+    transmissions resolved (every participant's doubles are still
+    drawn): any other transmission reaches only informed nodes, and
     removing it can only turn collisions at informed nodes into
     receptions there.  A fault layer on the direct path (crashes, link
     faults and certain jams as masks) gets every participant, because
     it counts the receptions it drops at informed nodes too.  Every
     other network (randomized or adversarial faults, proxies) gets real
-    transmission dicts, slot by slot, so fault modeling and transcript
-    recording see every round.  Both paths draw the same stream.
+    transmission dicts, slot by slot, from a
+    :func:`decay_transmit_matrix` call per epoch, so fault modeling and
+    transcript recording see every round.  Both paths draw the same
+    stream.
     """
     source_list = sorted(set(int(s) for s in sources))
     informed = np.zeros(network.n, dtype=bool)
@@ -132,12 +144,19 @@ def bgi_broadcast(
     # A fault layer counts receptions at informed nodes, so only a bare
     # network's participants are pruned.
     prune = direct and isinstance(network, RadioNetwork)
+    if direct:
+        # The epoch's coin doubles, drawn as decay_transmit_matrix draws
+        # them, land in a (num_slots, participants) view of this row.
+        row = np.empty(num_slots * network.n)
+        probability = _probability_column(num_slots)
     if prune:
         # uninformed[v]: how many neighbours of v are not yet informed
         uninformed = np.diff(network.csr_adjacency()[0]) - np.bincount(
             network.gather_neighbors(np.flatnonzero(informed)),
             minlength=network.n,
         )
+        # frontier[v]: v is informed and has an uninformed neighbour
+        frontier = informed & (uninformed > 0)
     for epoch in range(epochs):
         if informed.all():
             # Saturated: every remaining epoch is state-invariant.
@@ -147,21 +166,28 @@ def bgi_broadcast(
             epochs_run += remaining
             break
         participants = np.flatnonzero(informed)
-        coins = decay_transmit_matrix(participants.size, rng, num_slots)
         if direct:
-            if prune:
-                coins &= uninformed[participants] > 0
-            slot, idx = np.nonzero(coins)
-            receivers, _, _ = network.resolve_round_vector(
-                participants[idx], slot, num_slots
+            draws = row[:num_slots * participants.size].reshape(
+                num_slots, -1
             )
-            fresh = _sorted_unique(receivers[~informed[receivers]])
+            rng.random(out=draws)
+            if prune:
+                senders = np.flatnonzero(frontier)
+                draws = draws[:, np.searchsorted(participants, senders)]
+                participants = senders
+            slot, idx = np.nonzero(draws < probability)
+            receivers, _, _ = network.resolve_round_vector(
+                participants[idx], slot, num_slots, listeners=~informed
+            )
+            fresh = _sorted_unique(receivers)
             informed[fresh] = True
             if prune:
-                np.subtract.at(
-                    uninformed, network.gather_neighbors(fresh), 1
-                )
+                nbrs = network.gather_neighbors(fresh)
+                np.subtract.at(uninformed, nbrs, 1)
+                frontier[fresh] = uninformed[fresh] > 0
+                frontier[nbrs] &= uninformed[nbrs] > 0
         else:
+            coins = decay_transmit_matrix(participants.size, rng, num_slots)
             for slot in range(num_slots):
                 tx = participants[coins[slot]]
                 transmissions = dict.fromkeys(tx.tolist(), message)

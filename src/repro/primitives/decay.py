@@ -100,8 +100,8 @@ def decay_transmit_matrix(
     ``rng.random((num_slots, m))`` fills rows sequentially (C order), so
     row ``s`` holds exactly the ``m`` doubles the per-slot
     ``rng.random(m)`` call would have drawn, and the classic variant's
-    geometric stops are drawn once up front in both.  BGI, BFS and
-    Stage 4's dict loop draw every Decay epoch as this matrix;
+    geometric stops are drawn once up front in both.  BFS and the dict
+    loops of BGI and Stage 4 draw every Decay epoch as this matrix;
     :func:`run_decay_epoch` is the per-slot form that tree repair and
     aggregation use.
 
@@ -112,9 +112,11 @@ def decay_transmit_matrix(
     total size fills the blocks' draws back to back, so the stream and
     every decision are those of the per-block calls.  Stage 4's dict
     loop draws an epoch's groups this way, and BFS the epochs of a
-    phase.  Stage 4's direct path draws the same stream into a flat
-    buffer per epoch and compares it with :func:`decay_block_layout`'s
-    thresholds, so it makes no call here.
+    phase.  The direct paths of BGI and Stage 4 make no call here: they
+    draw the same stream with ``rng.random(out=...)`` into a reused
+    buffer per epoch, which BGI compares column by column with the slot
+    probabilities and Stage 4 with :func:`decay_block_layout`'s
+    thresholds.
     """
     if np.ndim(num_participants) == 0:
         sizes = [int(num_participants)]

@@ -111,6 +111,15 @@ def _csr_from_edges(
     return indptr.astype(np.int64, copy=False), keys
 
 
+#: Labelled calls with at most this many (transmitter, neighbor)
+#: incidences resolve on fresh int64 arrays (``_resolve_compact``),
+#: larger ones in the reused workspace (``_scratch``).  A small call's
+#: cost is mostly fixed per-call overhead, of which the fresh-array form
+#: has less; a large one's is its data, which int32 keys in reused pages
+#: move faster.
+_COMPACT_INCIDENCES = 4096
+
+
 class RadioNetwork:
     """An undirected multi-hop radio network on nodes ``0 .. n-1``.
 
@@ -511,6 +520,7 @@ class RadioNetwork:
         tx_ids: np.ndarray,
         rounds: Optional[np.ndarray] = None,
         num_rounds: Optional[int] = None,
+        listeners: Optional[np.ndarray] = None,
     ) -> Tuple[np.ndarray, ...]:
         """Array-native reception: who hears whom, with no dict round-trip.
 
@@ -530,6 +540,14 @@ class RadioNetwork:
             in ``[0, num_rounds)``; a round nobody transmits in still
             elapses).  A network has no clock, so only layers that keep
             one read it (a fault layer advances its clock by it).
+        listeners:
+            Optional bool array, one entry per node, with ``rounds``
+            only: the nodes whose receptions the caller will use.  The
+            call then returns exactly the receptions at listening nodes,
+            in the same order; incidences at other nodes are dropped
+            before any key is built, and only a listening transmitter
+            gets a half-duplex sentinel.  A flood passes its uninformed
+            nodes, BFS its unreached ones.
 
         Returns
         -------
@@ -557,11 +575,17 @@ class RadioNetwork:
         """
         tx_ids = np.asarray(tx_ids, dtype=np.int64)
         if rounds is None:
+            if listeners is not None:
+                raise ValueError("listeners need round labels")
             return self._resolve_one_round(tx_ids)
         rounds = np.asarray(rounds, dtype=np.int64)
         if rounds.shape != tx_ids.shape:
             raise ValueError("rounds must label every transmitter")
-        return self._resolve_labelled(tx_ids, rounds)
+        if listeners is not None:
+            listeners = np.asarray(listeners, dtype=bool)
+            if listeners.shape != (self._n,):
+                raise ValueError("listeners must flag every node")
+        return self._resolve_labelled(tx_ids, rounds, listeners)
 
     def _resolve_one_round(
         self, tx_ids: np.ndarray
@@ -582,7 +606,10 @@ class RadioNetwork:
         return receivers, sender_of[receivers]
 
     def _resolve_labelled(
-        self, tx_ids: np.ndarray, rounds: np.ndarray
+        self,
+        tx_ids: np.ndarray,
+        rounds: np.ndarray,
+        listeners: Optional[np.ndarray],
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The labelled half of :meth:`resolve_round_vector`.
 
@@ -592,13 +619,17 @@ class RadioNetwork:
         ``(round, node)`` run of length one that is not a sentinel is a
         reception.  Two transmitting neighbors collide, and the sentinel
         joins any run of a transmitting node, so half-duplex needs no
-        separate mask.
+        separate mask.  A reception depends only on the keys of its own
+        ``(round, node)``, so dropping the keys of non-listening nodes
+        changes no reception at a listener.
 
-        The keys are built, sorted and decoded in the network's
-        workspace (:meth:`_scratch`), as int32 whenever every key fits
-        (an int32 sort takes half the time).  Per call, only each
-        incidence's entry, an arange of their count and the outputs are
-        allocated.
+        A call of at most :data:`_COMPACT_INCIDENCES` incidences takes
+        :meth:`_resolve_compact`.  Larger ones build, sort and decode
+        their keys in the network's workspace (:meth:`_scratch`), as
+        int32 whenever every key fits (an int32 sort takes half the
+        time); per call, only each incidence's entry, an arange of their
+        count and the outputs are allocated, plus the kept incidences
+        when ``listeners`` is given.
         """
         n = self._n
         n_tx = tx_ids.size
@@ -613,6 +644,8 @@ class RadioNetwork:
         bound = (int(rounds.max()) + 1) * n * span
         if bound >= 2**63:
             raise ValueError("too many labelled transmissions for int64 keys")
+        if size <= _COMPACT_INCIDENCES:
+            return self._resolve_compact(tx_ids, rounds, counts, listeners)
         indptr, indices = self._csr
         if max(bound, indices.size) < 2**31:
             kt = np.int32
@@ -621,10 +654,9 @@ class RadioNetwork:
             indices = self._indices32
         else:
             kt = np.int64
-        total = size + n_tx
         # ``first`` holds positions, then keys, then entries; ``second``
         # neighbors, then entry bases, then node keys
-        first, second, edge, heard = self._scratch(total, kt)
+        first, second, edge, heard = self._scratch(size + n_tx, kt)
         # owner[j]: the entry whose neighbor list incidence j comes from;
         # its position in ``indices`` is j + offset[owner[j]]
         owner = np.repeat(np.arange(n_tx, dtype=kt), counts)
@@ -634,20 +666,28 @@ class RadioNetwork:
         np.take(offset, owner, out=pos, mode="clip")
         pos += np.arange(size, dtype=kt)
         np.take(indices, pos, out=neighbor, mode="clip")
-        keys = first
+        own = rounds * n + tx_ids
+        if listeners is not None:
+            keep = listeners[neighbor]
+            neighbor, owner = neighbor[keep], owner[keep]
+            size = neighbor.size
+            own = own[listeners[tx_ids]]
+        total = size + own.size
+        keys = first[:total]
         np.multiply(neighbor, span, out=keys[:size])
         base = (rounds * (n * span) + np.arange(n_tx)).astype(kt)
         spare = second[:size]
         np.take(base, owner, out=spare, mode="clip")
         keys[:size] += spare
-        np.multiply(rounds * n + tx_ids, span, out=keys[size:])
+        np.multiply(own, span, out=keys[size:])
         keys[size:] += n_tx
         keys.sort()
-        node_key = second
+        node_key = second[:total]
         np.floor_divide(keys, span, out=node_key)
         # edge[i]: a (round, node) run starts at key i (and edge[-1]: one
         # ends after the last key); a key is alone in its run iff runs
         # start both at it and right after it
+        edge, heard = edge[:total + 1], heard[:total]
         edge[0] = edge[-1] = True
         np.not_equal(node_key[1:], node_key[:-1], out=edge[1:-1])
         np.logical_and(edge[:-1], edge[1:], out=heard)
@@ -660,6 +700,39 @@ class RadioNetwork:
         labels = rounds.take(entries)
         receivers = node_key.take(at) // span - labels * n
         return receivers, entries, labels
+
+    def _resolve_compact(
+        self,
+        tx_ids: np.ndarray,
+        rounds: np.ndarray,
+        counts: np.ndarray,
+        listeners: Optional[np.ndarray],
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """:meth:`_resolve_labelled`'s keys on fresh int64 arrays, for a
+        call of few incidences (a flood epoch's frontier is tens of
+        transmitters): no workspace to carve and no int32 casts."""
+        n, n_tx = self._n, tx_ids.size
+        span = n_tx + 1
+        indptr, indices = self._csr
+        owner = np.repeat(np.arange(n_tx), counts)
+        start = indptr[tx_ids] - np.cumsum(counts) + counts
+        neighbor = indices[start[owner] + np.arange(owner.size)]
+        own = rounds * n + tx_ids
+        if listeners is not None:
+            keep = listeners[neighbor]
+            neighbor, owner = neighbor[keep], owner[keep]
+            own = own[listeners[tx_ids]]
+        node = rounds[owner] * n + neighbor
+        keys = np.concatenate((node * span + owner, own * span + n_tx))
+        keys.sort()
+        node, entry = np.divmod(keys, span)
+        # alone[i]: a (round, node) run starts at key i, as ``edge`` above
+        alone = np.ones(keys.size + 1, dtype=bool)
+        np.not_equal(node[1:], node[:-1], out=alone[1:-1])
+        at = np.flatnonzero(alone[:-1] & alone[1:] & (entry != n_tx))
+        entries = entry[at]
+        labels = rounds[entries]
+        return node[at] - labels * n, entries, labels
 
     def _scratch(self, size: int, dtype: type) -> Tuple[np.ndarray, ...]:
         """Buffers for :meth:`_resolve_labelled`: two ``dtype`` arrays of

@@ -410,7 +410,11 @@ class DynamicFaultNetwork:
         )
 
     def resolve_round_vector(
-        self, tx_ids: np.ndarray, rounds: np.ndarray, num_rounds: int
+        self,
+        tx_ids: np.ndarray,
+        rounds: np.ndarray,
+        num_rounds: int,
+        listeners: Optional[np.ndarray] = None,
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The faulted reception rule for a batch of rounds, as masks on
         the base network's kernel.
@@ -425,6 +429,11 @@ class DynamicFaultNetwork:
         :meth:`resolve_round`'s order.  Under the base's graph rule a
         receiver has exactly one transmitting neighbour, its sender, so
         :meth:`_link_blocked` reduces to the sender's link.
+
+        ``listeners`` keeps only the receptions at those nodes.  While
+        no fault is active it goes to the base kernel; otherwise every
+        reception is resolved and blamed first, so the counters move as
+        without it.
 
         Valid only while :meth:`admits_vector_path` holds.
         """
@@ -469,7 +478,9 @@ class DynamicFaultNetwork:
                 jammed.append(segment * n + _sorted_ids(nodes))
         self.clock = stop
         if not (dead or links or jammed):
-            return self._base.resolve_round_vector(tx_ids, rounds, num_rounds)
+            return self._base.resolve_round_vector(
+                tx_ids, rounds, num_rounds, listeners=listeners
+            )
 
         offsets = np.array([0] + [c - start for c in cuts], dtype=np.int64)
 
@@ -495,6 +506,8 @@ class DynamicFaultNetwork:
         self.rx_suppressed_link += int(np.count_nonzero(rx_link))
         self.rx_suppressed_jam += int(np.count_nonzero(rx_jam))
         heard = ~(rx_dead | rx_link | rx_jam)
+        if listeners is not None:
+            heard &= listeners[receivers]
         return receivers[heard], entries[heard], labels[heard]
 
     # ------------------------------------------------------------------

@@ -9,7 +9,9 @@ nodes, a single-node network, a fully-connected clique) get explicit
 cases on top of the random sweep.
 
 Labelled (multi-round) resolution is checked against one
-``resolve_round_scan`` call per round.
+``resolve_round_scan`` call per round, in both of the kernel's
+formulations (fresh arrays for small calls, the reused workspace for
+large ones), and a listener mask against the unmasked call.
 
 Stronger, deterministic equivalences ride along, each down to the
 final generator state:
@@ -30,11 +32,14 @@ final generator state:
   ``test_flat_coin_rows_match_block_form_decay_matrix``.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.radio.network as network_module
 from repro.coding.packets import make_packets, required_packet_bits
 from repro.core.config import AlgorithmParameters
 from repro.core.dissemination import run_dissemination_stage
@@ -213,19 +218,27 @@ def labelled_rounds(draw, max_n=16):
     return net, dict(zip(labels, tx_sets)), [entries[i] for i in order]
 
 
+#: Incidence limits that send every labelled call to one formulation.
+KERNEL_FORMS = {"compact": 10**9, "workspace": -1}
+
+
+def _in_form(form):
+    """Pin the labelled kernel to one formulation for the block."""
+    return mock.patch.object(
+        network_module, "_COMPACT_INCIDENCES", KERNEL_FORMS[form]
+    )
+
+
 @settings(max_examples=80, deadline=None)
 @given(labelled_rounds(max_n=20))
 def test_labelled_resolution_matches_per_round_calls(case):
     """Each round of a labelled call against :meth:`resolve_round_scan`
-    on that round alone.  The graphs have isolated nodes, so some
-    transmitters have no neighbors, and nodes transmit in several
-    rounds."""
+    on that round alone, in both formulations.  The graphs have
+    isolated nodes, so some transmitters have no neighbors, and nodes
+    transmit in several rounds."""
     net, rounds, entries = case
     tx = np.array([v for _, v in entries], dtype=np.int64)
     lab = np.array([label for label, _ in entries], dtype=np.int64)
-    out = net.resolve_round_vector(tx, lab)
-    assert all(a.dtype == np.int64 for a in out)
-    receivers, which, labels = out
     expected = [
         (label, receiver, sender)
         for label in sorted(rounds)
@@ -233,19 +246,64 @@ def test_labelled_resolution_matches_per_round_calls(case):
             {v: v for v in rounds[label]}
         ).items()
     ]
-    got = list(
-        zip(labels.tolist(), receivers.tolist(), tx[which].tolist())
-    )
-    assert got == expected
-    assert (lab[which] == labels).all()
+    for form in KERNEL_FORMS:
+        with _in_form(form):
+            out = net.resolve_round_vector(tx, lab)
+        assert all(a.dtype == np.int64 for a in out)
+        receivers, which, labels = out
+        got = list(
+            zip(labels.tolist(), receivers.tolist(), tx[which].tolist())
+        )
+        assert got == expected, form
+        assert (lab[which] == labels).all()
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    labelled_rounds(max_n=20),
+    st.sampled_from(["empty", "full", "transmitters", "random"]),
+    st.data(),
+)
+def test_listener_mask_keeps_exactly_the_receptions_at_listeners(
+    case, kind, data
+):
+    """A masked labelled call returns the unmasked call's receptions at
+    listening nodes, element for element and in the same dtypes, in
+    both formulations.  Masks run from empty to full; "transmitters"
+    makes every transmitter listen, so its half-duplex sentinel must
+    still silence it, and isolated nodes listen but hear nothing."""
+    net, _, entries = case
+    tx = np.array([v for _, v in entries], dtype=np.int64)
+    lab = np.array([label for label, _ in entries], dtype=np.int64)
+    listeners = np.zeros(net.n, dtype=bool)
+    if kind == "full":
+        listeners[:] = True
+    elif kind == "transmitters":
+        listeners[tx] = True
+    elif kind == "random":
+        listeners[:] = data.draw(
+            st.lists(st.booleans(), min_size=net.n, max_size=net.n)
+        )
+    isolated = np.diff(net.csr_adjacency()[0]) == 0
+    listeners[isolated] |= kind != "empty"
+    receivers, which, labels = net.resolve_round_vector(tx, lab)
+    keep = listeners[receivers]
+    for form in KERNEL_FORMS:
+        with _in_form(form):
+            got = net.resolve_round_vector(tx, lab, listeners=listeners)
+        assert all(a.dtype == np.int64 for a in got)
+        for a, b in zip(got, (receivers[keep], which[keep], labels[keep])):
+            assert a.tolist() == b.tolist(), form
 
 
 def test_labelled_resolution_reuses_and_outgrows_its_workspace():
     """Calls of growing and shrinking size on one network, on the int32
     and (with round labels too large for int32 keys) the int64 path,
-    each against the scan round by round."""
+    each against the scan round by round, and each again under a
+    listener mask against its own receptions at listeners."""
     net = random_geometric(120, seed=9)
     rng = np.random.default_rng(17)
+    masks = np.random.default_rng(18)
     for size, label_base in [(40, 0), (900, 0), (30, 0), (600, 10**6),
                              (2000, 0), (50, 10**6)]:
         tx = rng.integers(0, net.n, size=size)
@@ -266,6 +324,12 @@ def test_labelled_resolution_reuses_and_outgrows_its_workspace():
             zip(labels.tolist(), receivers.tolist(), tx[which].tolist())
         )
         assert got == expected
+        listeners = masks.random(net.n) < 0.3
+        keep = listeners[receivers]
+        masked = net.resolve_round_vector(tx, lab, listeners=listeners)
+        for a, b in zip(masked, (receivers[keep], which[keep], labels[keep])):
+            assert a.dtype == np.int64
+            assert a.tolist() == b.tolist()
 
 
 def test_labelled_resolution_degenerate_cases():
@@ -293,6 +357,12 @@ def test_labelled_resolution_degenerate_cases():
         net.resolve_round_vector(np.array([0, 1]), np.array([0]))
     with pytest.raises(ValueError, match="int64"):
         net.resolve_round_vector(np.array([0]), np.array([2**61]))
+    with pytest.raises(ValueError, match="round labels"):
+        net.resolve_round_vector(np.array([0]), listeners=np.ones(4, bool))
+    with pytest.raises(ValueError, match="every node"):
+        net.resolve_round_vector(
+            np.array([0]), np.array([0]), listeners=np.ones(3, bool)
+        )
 
 
 def test_vector_capable_is_one_call_time_predicate(monkeypatch):

@@ -11,7 +11,9 @@ dict loop, observed): observing a run must not change it.  Counting
 took.  Counting the transmissions Stage 4 hands that kernel shows its
 second-window prune at work on a bare network, and counting its calls
 shows a group too wide for the direct path's mask draw sent to the
-dict loop.
+dict loop.  The election's waves and the BFS phases pass the kernel
+their uninformed or unreached nodes as listeners, so it returns them
+no reception at a node that is already done.
 
 The fault stacks of the 12 pinned scenarios always run the dict loop;
 ``test_differential_engines.py`` replays those runs against the
@@ -24,7 +26,9 @@ stream by value, and the oracles in ``repro.primitives.reference`` and
 
 import dataclasses
 import hashlib
+import importlib
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -245,4 +249,51 @@ def test_groups_wider_than_a_float32_carrier_take_the_dict_loop(
     vector_calls.clear()
     recorded = _run_record(RecordingNetwork(grid(8, 8)), 40, 1, 1, False)
     assert not vector_calls
+    assert recorded == direct
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: grid(13, 9), lambda: random_geometric(120, seed=3)],
+    ids=["grid13x9", "rgg120"],
+)
+def test_floods_get_receptions_only_at_nodes_not_yet_done(
+    make, monkeypatch
+):
+    """Every receiver a kernel call returns to an election wave is still
+    uninformed, and every one it returns to a BFS phase still unreached,
+    when the call returns: checked against the caller's own
+    ``informed`` and ``distance`` arrays, which it updates only after
+    the call.  The election's direct path draws its coins without
+    ``decay_transmit_matrix``, yet consumes its stream: the run is its
+    recorded twin's, whose dict loop makes those calls."""
+    calls = {"bgi_broadcast": 0, "_bfs_phase_direct": 0, "decay": 0}
+    kernel = RadioNetwork.resolve_round_vector
+    # the module, which the package's function of the same name shadows
+    bgi = importlib.import_module("repro.primitives.bgi_broadcast")
+    draw = bgi.decay_transmit_matrix
+
+    def checked(self, *args, **kwargs):
+        out = kernel(self, *args, **kwargs)
+        caller = sys._getframe(1)
+        name = caller.f_code.co_name
+        if name == "bgi_broadcast":
+            assert not caller.f_locals["informed"][out[0]].any()
+            calls[name] += 1
+        elif name == "_bfs_phase_direct":
+            assert (caller.f_locals["distance"][out[0]] < 0).all()
+            calls[name] += 1
+        return out
+
+    def counted(*args, **kwargs):
+        calls["decay"] += 1
+        return draw(*args, **kwargs)
+
+    monkeypatch.setattr(RadioNetwork, "resolve_round_vector", checked)
+    monkeypatch.setattr(bgi, "decay_transmit_matrix", counted)
+    direct = _run_record(make(), 40, 2, 2, False)
+    assert calls["bgi_broadcast"] > 0 and calls["_bfs_phase_direct"] > 0
+    assert calls["decay"] == 0
+    recorded = _run_record(RecordingNetwork(make()), 40, 2, 2, False)
+    assert calls["decay"] > 0
     assert recorded == direct

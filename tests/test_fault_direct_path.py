@@ -330,3 +330,49 @@ def test_batch_equals_resolve_round_calls():
     assert vec.fault_stats()["tx_suppressed"] > 0
     senders = tx[entries]
     assert all(net.has_edge(s, r) for s, r in zip(senders, receivers))
+
+
+def test_masked_batch_moves_counters_as_the_unmasked_one(monkeypatch):
+    """A listener mask changes only what a batch returns.  On an active
+    schedule every reception is still resolved and blamed, so the
+    counters, the clock and the stamped events move as without the mask,
+    and the receptions kept are the unmasked batch's at listeners.  On a
+    quiet schedule the mask goes on to the base kernel."""
+    net = grid(4, 4)
+    schedule = (FaultSchedule()
+                .crash(5, at_round=1)
+                .link_down((1, 2), at_round=2)
+                .recover(5, at_round=3)
+                .jam([6, 10], start=2, stop=4))
+    rounds = [[0, 5, 15], [1, 5, 6], [1, 14], [5, 9, 13], [9, 3]]
+    tx = np.array([v for r in rounds for v in r])
+    labels = np.repeat(np.arange(len(rounds)), [len(r) for r in rounds])
+    listeners = np.zeros(net.n, dtype=bool)
+    listeners[[1, 2, 4, 6, 10, 14]] = True
+    plain = DynamicFaultNetwork(net, schedule)
+    masked = DynamicFaultNetwork(net, schedule)
+    full = plain.resolve_round_vector(tx, labels, 6)
+    got = masked.resolve_round_vector(tx, labels, 6, listeners=listeners)
+    keep = listeners[full[0]]
+    assert 0 < keep.sum() < keep.size
+    for a, b in zip(got, full):
+        assert a.tolist() == b[keep].tolist()
+    assert masked.fault_stats() == plain.fault_stats()
+    assert masked.clock == plain.clock == 6
+    assert masked.events_applied == plain.events_applied
+
+    seen = []
+    kernel = RadioNetwork.resolve_round_vector
+
+    def spy(self, *args, **kwargs):
+        seen.append(kwargs.get("listeners"))
+        return kernel(self, *args, **kwargs)
+
+    monkeypatch.setattr(RadioNetwork, "resolve_round_vector", spy)
+    got = DynamicFaultNetwork(net).resolve_round_vector(
+        tx, labels, 6, listeners=listeners
+    )
+    assert len(seen) == 1 and seen[0] is listeners
+    expected = kernel(net, tx, labels, listeners=listeners)
+    for a, b in zip(got, expected):
+        assert a.tolist() == b.tolist()

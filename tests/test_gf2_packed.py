@@ -389,3 +389,10 @@ def test_absorb_batch_complete_basis_and_empty_input():
     )
     assert gains.tolist() == [1, 0]
     assert pivots.tolist() == [[0, 2], [1, 2]]
+    # one pass, three lanes: no candidate for bit 0, fills, already full
+    pivots = np.array([[0, 0], [0, 0], [1, 2]], dtype=np.uint64)
+    gains = gf2_absorb_batch(
+        pivots, np.array([2, 1, 0, 1]), np.array([3, 3, 2, 1], np.uint64)
+    )
+    assert gains.tolist() == [1, 2, 0]
+    assert pivots.tolist() == [[0, 2], [1, 2], [1, 2]]
